@@ -11,7 +11,7 @@ tests and report formatting consult :func:`full_turn`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import pi, fsum
+from math import fsum, isfinite, pi
 from typing import Iterable, Union
 
 Scalar = Union[float, Fraction]
@@ -33,15 +33,19 @@ def coerce(value, exact: bool) -> Scalar:
 
     Exact mode accepts ints, Fractions and strings like "3/4"; floats are
     rejected because they carry no exact meaning.  Float mode accepts
-    anything float() does.
+    anything float() does and the same "n/d" strings, but no NaN or
+    infinity.
     """
     if exact:
         if isinstance(value, float):
             raise TypeError("exact mode requires rational values, got a float")
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return float(value)
-    return float(value)
+    if isinstance(value, str) and "/" in value:
+        value = Fraction(value)
+    x = float(value)
+    if not isfinite(x):
+        raise ValueError(f"non-finite value {value!r}")
+    return x
 
 
 def wrap(x: Scalar, exact: bool) -> Scalar:

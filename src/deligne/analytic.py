@@ -5,9 +5,10 @@ A presentation packages, per level k, a rule producing the integrand for
 branch lifts: each term is a rational (or float) coefficient, at most one
 linear factor in a specific chart's branch of a coordinate, and a constant
 wedge monomial.  Everything the built-in fixtures and their cup products
-need fits this shape, and it integrates exactly: affine integrands are
-reproduced by Gauss-Legendre product rules at any order, and in rational
-arithmetic by the centroid rule.
+build fits this shape.  Every integrand is therefore affine on each
+simplex, and one rule integrates it exactly in both arithmetics: the
+coefficient times the pulled-back volume (determinant over k!) times the
+value of the linear factor at the simplex centroid.
 
 Unit bookkeeping: rational coefficients are in turn units and carry an
 explicit count of angle factors; float coefficients are already in
@@ -17,9 +18,10 @@ coefficient, never passed through as if it were radians already; one
 given in the unit of the arithmetic (``flat_circle``'s ``theta``) is
 taken as it stands.  A rational evaluation is only meaningful when a
 term carries exactly one angle factor in total (an angle times an angle
-is not a rational number of turns), which is why cup products of winding
-functions refuse rational discretization while the monopole and torsion
-fixtures accept it.
+is not a rational number of turns).  Cup products divide each product of
+two angle factors by one full turn (:func:`turn_normalized_product`), so
+products of rational classes keep one net angle factor and discretize
+exactly.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ._scalars import TWO_PI, Scalar, coerce, tree_sum
 from .cochain import DeligneCochain, build_cochain
 from .errors import AnalyticError
-from .geometry import ChartedGeometry, simplex_quadrature
-from .simplicial import Simplex, sort_with_parity
+from .geometry import ChartedGeometry
+from .simplicial import Simplex, determinant, sort_with_parity
 
 # -- expression model ----------------------------------------------------------
 
@@ -141,6 +143,19 @@ def _rational_guard(t: FormTerm, geom: ChartedGeometry) -> None:
         )
 
 
+def _radians(t: FormTerm, periodic: Sequence[bool]) -> float:
+    """A term's coefficient as a float, with its turn factors in radians.
+
+    A Fraction coefficient carries ``angle_power`` turns (a float one is in
+    radians already), and each periodic coordinate of the linear factor or
+    the wedge is a lift in turns; every turn is worth 2*pi.
+    """
+    turns = _angle_count(t, periodic)
+    if not isinstance(t.coeff, Fraction):
+        turns -= t.angle_power
+    return float(t.coeff) * TWO_PI ** turns
+
+
 # -- evaluation and integration --------------------------------------------------
 
 
@@ -152,22 +167,15 @@ def evaluate_scalar(
     for t in expr:
         if t.wedge:
             raise AnalyticError("a form of positive degree has no vertex value")
+        branch = (
+            1 if t.linear is None
+            else geom.vertex_value(t.linear[1], v, t.linear[0])
+        )
         if exact:
             _rational_guard(t, geom)
-            val: Scalar = t.coeff
-            if t.linear is not None:
-                val *= geom.vertex_value(t.linear[1], v, t.linear[0])
+            parts.append(t.coeff * branch)
         else:
-            val = (
-                float(t.coeff) * (TWO_PI ** t.angle_power)
-                if isinstance(t.coeff, Fraction)
-                else float(t.coeff)
-            )
-            if t.linear is not None:
-                coord, chart = t.linear
-                branch = float(geom.vertex_value(chart, v, coord))
-                val *= branch * TWO_PI if geom.periodic[coord] else branch
-        parts.append(val)
+            parts.append(_radians(t, geom.periodic) * float(branch))
     return tree_sum(parts, exact)
 
 
@@ -178,35 +186,21 @@ def _rows_chart(geom: ChartedGeometry, sigma: Simplex) -> int:
     raise AnalyticError(f"no chart realizes {sigma} in {geom.name}")
 
 
-def _pullback_det(rows, wedge: Tuple[int, ...]) -> Fraction:
-    k = len(wedge)
-    mat = [[rows[i + 1][c] - rows[0][c] for c in wedge] for i in range(k)]
-    # Exact cofactor expansion; k <= 3 here.
-    if k == 1:
-        return mat[0][0]
-    if k == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if k == 3:
-        return (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-    raise AnalyticError("forms above degree 3 are not supported")
-
-
 def integrate_form(
     expr: FormExpr,
     geom: ChartedGeometry,
     sigma: Simplex,
     exact: bool,
-    quad_order: int,
 ) -> Scalar:
-    """Integral over a canonically oriented simplex of dimension >= 1."""
+    """Integral over a canonically oriented simplex of dimension >= 1.
+
+    Each term is affine in the lifts, so its integral is exact: the
+    coefficient times the geometric factor det / k! * (centroid of the
+    linear factor's lift, or 1).
+    """
     k = len(sigma) - 1
     if k < 1:
         raise AnalyticError("use evaluate_scalar on vertices")
-    volfac = Fraction(1, math.factorial(k))
     parts: List[Scalar] = []
     for t in expr:
         if len(t.wedge) != k:
@@ -215,43 +209,19 @@ def integrate_form(
             )
         chart = t.linear[1] if t.linear is not None else _rows_chart(geom, sigma)
         rows = geom.lift(chart, sigma)
-        det = _pullback_det(rows, t.wedge)
+        det = determinant(
+            [[r[c] - rows[0][c] for c in t.wedge] for r in rows[1:]]
+        )
         if det == 0:
             continue
+        factor = det / math.factorial(k)
+        if t.linear is not None:
+            factor *= sum(r[t.linear[0]] for r in rows) / len(rows)
         if exact:
             _rational_guard(t, geom)
-            val: Scalar = t.coeff * det * volfac
-            if t.linear is not None:
-                coord = t.linear[0]
-                centroid = sum(r[coord] for r in rows) / len(rows)
-                val *= centroid
+            parts.append(t.coeff * factor)
         else:
-            scale = TWO_PI ** sum(1 for c in t.wedge if geom.periodic[c])
-            base = (
-                float(t.coeff) * (TWO_PI ** t.angle_power)
-                if isinstance(t.coeff, Fraction)
-                else float(t.coeff)
-            )
-            if t.linear is None:
-                val = base * float(det) * scale * float(volfac)
-            else:
-                coord = t.linear[0]
-                lrows = geom.lift(t.linear[1], sigma)
-                lscale = TWO_PI if geom.periodic[coord] else 1.0
-                l0 = float(lrows[0][coord]) * lscale
-                lder = [
-                    float(lrows[i + 1][coord] - lrows[0][coord]) * lscale
-                    for i in range(k)
-                ]
-                pts, wts = simplex_quadrature(k, quad_order)
-                acc = 0.0
-                for p in range(pts.shape[0]):
-                    lin = l0
-                    for a in range(k):
-                        lin += pts[p, a] * lder[a]
-                    acc += wts[p] * lin
-                val = base * float(det) * scale * acc
-        parts.append(val)
+            parts.append(_radians(t, geom.periodic) * float(factor))
     return tree_sum(parts, exact)
 
 
@@ -311,6 +281,8 @@ def discretize(
     ``geometry`` may be the presentation's own geometry (default) or any
     barycentric subdivision of it; the expressions are evaluated with the
     finer lifts.  Rational output is refused where it cannot be exact.
+    Integration is exact, so ``quad_order`` has no effect on the values;
+    it is accepted so that callers written for a quadrature rule still run.
     """
     geom = geometry if geometry is not None else pres.geometry
     if not _lineage_ok(pres, geom):
@@ -336,7 +308,7 @@ def discretize(
                 if k == 0:
                     val = evaluate_scalar(expr, geom, s, exact)
                 else:
-                    val = integrate_form(expr, geom, s, exact, quad_order)
+                    val = integrate_form(expr, geom, s, exact)
                 if val != 0:
                     entries.append((k, J, s, val))
     return build_cochain(cov, p, entries, exact=exact)

@@ -78,7 +78,15 @@ class _ToleranceFailure(Exception):
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument("--quad-order", type=int, default=8)
+    common.add_argument(
+        "--quad-order",
+        type=int,
+        default=8,
+        help=(
+            "an integer >= 1, echoed under config; integration is exact, so "
+            "it has no effect on values"
+        ),
+    )
     common.add_argument("--seed", type=int, default=None)
     common.add_argument(
         "--arithmetic", choices=("float", "rational"), default="float"
@@ -169,6 +177,11 @@ def _config_dict(args) -> dict:
         "seed": 0 if args.seed is None else args.seed,
         "tolerance": args.tolerance,
     }
+
+
+def _check_quad_order(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise _UsageError(f"quad_order must be an integer >= 1, got {value!r}")
 
 
 def _load_triple(args):
@@ -437,7 +450,7 @@ def _cmd_cup(args) -> Tuple[int, dict]:
     lhs, geom = build_fixture(lname, args.geometry, lparams, exact)
     rhs, _ = build_fixture(rname, args.geometry, rparams, exact)
     product = cup_product(lhs, rhs)
-    cochain = discretize(product, quad_order=args.quad_order, exact=exact)
+    cochain = discretize(product, exact=exact)
     report = validate_cocycle(cochain, tol=args.tolerance)
     result = {
         "cup": {
@@ -462,7 +475,6 @@ def _cmd_fixture(args) -> Tuple[int, dict]:
     name = args.name
     geometry = args.geometry
     params = _parse_params(args.params)
-    quad_order = args.quad_order
     if args.request is not None:
         doc = read_json(args.request)
         if not isinstance(doc, dict) or "fixture" not in doc:
@@ -470,11 +482,12 @@ def _cmd_fixture(args) -> Tuple[int, dict]:
         name = doc["fixture"]
         geometry = doc.get("geometry", geometry)
         params = {**doc.get("params", {}), **params}
-        quad_order = doc.get("quad_order", quad_order)
+        if "quad_order" in doc:
+            _check_quad_order(doc["quad_order"])
     if name is None:
         raise _UsageError("fixture needs a name or --request file")
     pres, geom = build_fixture(name, geometry, params, exact)
-    cochain = discretize(pres, quad_order=quad_order, exact=exact)
+    cochain = discretize(pres, exact=exact)
     report = validate_cocycle(cochain, tol=args.tolerance)
     result = {
         "fixture": {
@@ -663,20 +676,21 @@ def main(argv=None) -> int:
         return 1
     envelope = {"command": args.command, "config": _config_dict(args)}
     try:
-        code, result = _COMMANDS[args.command](args)
-        envelope.update(result)
-    except _ToleranceFailure as e:
-        envelope.update(e.report)
+        _check_quad_order(args.quad_order)
+        try:
+            code, result = _COMMANDS[args.command](args)
+            envelope.update(result)
+        except _ToleranceFailure as e:
+            envelope.update(e.report)
+            code = 2
         _emit(envelope, args)
-        return 2
-    except _UsageError as e:
+    except (
+        _UsageError, DeligneError, OSError, TypeError, ValueError, ZeroDivisionError
+    ) as e:
+        # TypeError covers float data handed to rational arithmetic, and
+        # ZeroDivisionError an "n/0" string read as a Fraction.
         print(f"deligne: {e}", file=sys.stderr)
         return 1
-    except (SchemaError, DeligneError, OSError, TypeError, ValueError) as e:
-        # TypeError covers float data handed to rational arithmetic.
-        print(f"deligne: {e}", file=sys.stderr)
-        return 1
-    _emit(envelope, args)
     return code
 
 

@@ -204,7 +204,6 @@ class CocycleReport:
     worst: Mapping[int, Scalar]
     checked: Mapping[int, int]
     failing: Tuple[FailedCondition, ...]
-    witnesses: Mapping[Tuple[Simplex, MultiIndex], int]
 
     @property
     def passed(self) -> bool:
@@ -223,7 +222,6 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     worst: Dict[int, Scalar] = {}
     checked: Dict[int, int] = {}
     failing: List[FailedCondition] = []
-    witnesses: Dict[Tuple[Simplex, MultiIndex], int] = {}
 
     # Level 0 residuals are measured in turns: |delta C^0 / 2pi - n|.
     turn = full_turn(c.exact)
@@ -238,7 +236,6 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
                 top = residual
             if residual > threshold:
                 failing.append(FailedCondition(0, v, J, residual, n))
-                witnesses[(v, J)] = n
     worst[0] = top
     checked[0] = count
 
@@ -264,7 +261,6 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
         worst=worst,
         checked=checked,
         failing=tuple(failing),
-        witnesses=witnesses,
     )
     c.cocycle = report.passed
     return report
@@ -307,24 +303,10 @@ def _shift_value(c: DeligneCochain, b: DeligneCochain, k: int, s: Simplex, J: Mu
     p = c.degree
     value = c.component(k, s, J)
     if k <= b.degree:
-        value = value + cech_delta_level(b, k, s, J)
+        value = value + cech_delta(b, s, J)
     if k >= 1:
         value = value + (-1) ** (p - k) * discrete_d(b, s, J)
     return value
-
-
-def cech_delta_level(c: DeligneCochain, k: int, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
-    """Alternating omission sum of C^k at an explicit level.
-
-    :func:`cech_delta` infers the level from the simplex dimension, which
-    is right for a cochain evaluated inside its own degree; this variant is
-    for a degree-(p-1) cochain appearing inside degree-p formulas.
-    """
-    terms = [
-        (-1) ** j * c.component(k, sigma, tuple(indices[:j]) + tuple(indices[j + 1:]))
-        for j in range(len(indices))
-    ]
-    return tree_sum(terms, c.exact)
 
 
 def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:

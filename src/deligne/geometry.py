@@ -11,9 +11,7 @@ this is validated at construction and is what makes chart-jump integers
 
 Lifts are keyed per (chart, simplex) rather than per (chart, vertex)
 because charts around a pole have no single branch value at the pole:
-each polar edge carries its own meridian-constant lift.  Geometries whose
-per-chart lifts do glue across faces are flagged ``hierarchical``; only
-those support form components above the levels their fixtures use.
+each polar edge carries its own meridian-constant lift.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .cover import CoveredComplex, attach_cover
 from .errors import AnalyticError
 from .simplicial import (
@@ -32,6 +28,7 @@ from .simplicial import (
     SimplicialComplex,
     barycentric_subdivide,
     build_complex,
+    determinant,
     sort_with_parity,
 )
 
@@ -45,7 +42,6 @@ class ChartedGeometry:
     periodic: Tuple[bool, ...]
     covered: CoveredComplex
     lifts: Mapping[Tuple[int, Simplex], Tuple[Row, ...]]
-    hierarchical: bool = True
     parent: Optional["ChartedGeometry"] = field(default=None, repr=False)
 
     def lift(self, chart: int, sigma: Simplex) -> Tuple[Row, ...]:
@@ -121,27 +117,6 @@ def _validate_geometry(g: ChartedGeometry) -> None:
                         )
 
 
-def _det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
 def _oriented(verts: Sequence[int], rows_by_vertex: Mapping[int, Row]) -> Tuple[int, ...]:
     """Return the vertex tuple, reordered so its chart realization is
     positively oriented; degenerate realizations are rejected."""
@@ -151,7 +126,7 @@ def _oriented(verts: Sequence[int], rows_by_vertex: Mapping[int, Row]) -> Tuple[
         [rows[i][c] - rows[0][c] for c in range(len(rows[0]))]
         for i in range(1, len(vs))
     ]
-    d = _det(mat)
+    d = determinant(mat)
     if d == 0:
         raise AnalyticError(f"degenerate realization of {tuple(verts)}")
     if d < 0:
@@ -473,8 +448,7 @@ def sphere_octahedron_geometry() -> ChartedGeometry:
 
     Charts 0..3 are the northern faces, 4..7 the southern ones.  Polar
     edges carry meridian-constant branches, so the lift table is genuinely
-    per-simplex: no chart has a branch value at a pole vertex, and the
-    geometry is flagged non-hierarchical.
+    per-simplex: no chart has a branch value at a pole vertex.
     """
     N, S = 0, 5
     E = [1, 2, 3, 4]
@@ -522,7 +496,6 @@ def sphere_octahedron_geometry() -> ChartedGeometry:
         periodic=(True, False),
         covered=cov,
         lifts=lifts,
-        hierarchical=False,
     )
     _validate_geometry(g)
     return g
@@ -591,47 +564,8 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
         periodic=g.periodic,
         covered=cov2,
         lifts=lifts,
-        hierarchical=g.hierarchical,
         parent=g,
     )
     _validate_geometry(g2)
     return g2
 
-
-# -- quadrature ----------------------------------------------------------------
-
-_QUAD_CACHE: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def simplex_quadrature(k: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Gauss–Legendre product rule on the standard k-simplex.
-
-    Returns (points, weights): points are barycentric coordinates of the
-    vertices 1..k (the coordinate chart dropping vertex 0), mapped from
-    the cube by the collapsing substitution; weights absorb its Jacobian
-    and sum to 1/k!.
-    """
-    if order < 1:
-        raise AnalyticError("quadrature order must be >= 1")
-    key = (k, order)
-    if key in _QUAD_CACHE:
-        return _QUAD_CACHE[key]
-    x, w = np.polynomial.legendre.leggauss(order)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    pts = [[]]
-    wts = [1.0]
-    for _ in range(k):
-        pts = [p + [xi] for p in pts for xi in x]
-        wts = [pw * wi for pw in wts for wi in w]
-    points = np.empty((len(pts), k))
-    weights = np.array(wts)
-    for r, t in enumerate(pts):
-        rem = 1.0
-        for a in range(k):
-            lam = t[a] * rem
-            points[r, a] = lam
-            weights[r] *= rem
-            rem -= lam
-    _QUAD_CACHE[key] = (points, weights)
-    return points, weights

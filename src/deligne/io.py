@@ -53,7 +53,10 @@ def scalar_from_json(v, exact: bool) -> Scalar:
         return Fraction(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError("float values must be JSON numbers")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise SchemaError(f"non-finite value {v!r}")
+    return x
 
 
 def dumps_canonical(obj) -> str:
@@ -103,9 +106,14 @@ def write_canonical(path: str, obj) -> None:
 
 
 def read_json(path: str):
+    """Parse a JSON file; the non-standard NaN/Infinity literals are refused."""
+
+    def refuse(literal: str):
+        raise SchemaError(f"{path}: non-finite literal {literal} is not allowed")
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: not valid JSON ({e})") from None
 

@@ -167,9 +167,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(self._by_dim[k]) for k in range(self.dim + 1))
 
-    def num_simplices(self) -> int:
-        return sum(len(v) for v in self._by_dim.values())
-
     def induced_boundary_orientation(self, tau: Simplex) -> int:
         try:
             return self.boundary_facets[tau]
@@ -354,10 +351,10 @@ def glue_along_boundary(
 # -- barycentric subdivision -------------------------------------------------
 
 
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant of a square matrix by Gaussian elimination."""
     n = len(rows)
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -413,7 +410,7 @@ def barycentric_subdivide(
                 [coords[i][c] - coords[0][c] for c in range(1, len(t))]
                 for i in range(1, len(chain))
             ]
-            geo = 1 if K.dim == 0 else (1 if _det(rows) > 0 else -1)
+            geo = 1 if K.dim == 0 else (1 if determinant(rows) > 0 else -1)
             parity = geo * K.orientation(t)
             verts = tuple(label[tau] for tau in chain)  # ascending by labeling
             child = verts if parity == 1 or len(verts) == 1 else (

@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, report schema, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
+import deligne
 from deligne import (
     build_complex,
     exact_shift,
@@ -15,6 +20,7 @@ from deligne import (
     star_cover,
     zero_cochain,
 )
+from deligne._scalars import TWO_PI
 from deligne.cli import main
 from deligne.io import read_json, write_canonical
 
@@ -110,6 +116,46 @@ def test_fixture_request_file_with_param_override(capsys, tmp_path):
         capsys, "fixture", "--request", str(req), "--params", "theta=0.5"
     )
     assert code == 0
+
+    # quad_order must be an integer >= 1 from the file and the flag alike.
+    for quad_order, expected in ((3, 0), (0, 1), (True, 1), (2.5, 1), ("8", 1)):
+        write_canonical(
+            str(req),
+            {"fixture": "torsion", "params": {"q": 5}, "quad_order": quad_order},
+        )
+        code, _, err = run(capsys, "fixture", "--request", str(req))
+        assert code == expected, (quad_order, err)
+    for name, params in (("torsion", "q=5"), ("monopole", "k=1")):
+        code, _, err = run(
+            capsys, "fixture", name, "--params", params, "--quad-order", "0"
+        )
+        assert code == 1 and "quad_order" in err
+
+
+def test_fraction_parameters_accepted_in_float_mode(capsys, tmp_path):
+    """An "n/d" parameter works under float arithmetic as under rational;
+    the offset is in turns, so the float logs are 2*pi times the rational."""
+    logs = {}
+    for arithmetic in ("float", "rational"):
+        paths = save_fixture(
+            capsys,
+            tmp_path,
+            "fixture",
+            "winding_function",
+            "--params",
+            "w=0,offset=3/7",
+            "--arithmetic",
+            arithmetic,
+        )
+        logs[arithmetic] = read_json(paths[2])["entries"]
+    assert len(logs["float"]) == len(logs["rational"]) > 0
+    for f, r in zip(logs["float"], logs["rational"]):
+        assert r["value"] == "3/7"
+        assert abs(f["value"] - TWO_PI * float(Fraction(r["value"]))) <= 1e-12
+    code, _, _ = run(capsys, "fixture", "flat_circle", "--params", "theta=1/3")
+    assert code == 0
+    code, _, err = run(capsys, "fixture", "flat_circle", "--params", "theta=1/0")
+    assert code == 1 and err.startswith("deligne:")
 
 
 def test_fixture_rational_refuses_float_parameter(capsys):
@@ -446,6 +492,42 @@ def test_malformed_json_input(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad), str(bad), str(bad))
     assert code == 1
     assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_float_input_exits_1(capsys, tmp_path, literal):
+    paths = save_fixture(
+        capsys, tmp_path, "fixture", "flat_circle", "--params", "theta=1.0"
+    )
+    doc = read_json(paths[2])
+    doc["entries"][0]["value"] = "@"
+    with open(paths[2], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc).replace('"@"', literal))
+    for command in ("validate", "holonomy"):
+        code, out, err = run(capsys, command, *paths)
+        assert code == 1 and out == ""
+        assert err.startswith("deligne:") and "Traceback" not in err
+
+
+def test_unwritable_report_output_exits_1(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="out")
+    code, _, err = run(capsys, "validate", *paths, "--output", str(tmp_path))
+    assert code == 1
+    assert err.startswith("deligne:")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(deligne.__file__)))
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import deligne.cli, sys; assert 'numpy' not in sys.modules",
+        ],
+        env=env,
+        check=True,
+        timeout=60,
+    )
 
 
 def test_bad_parameter_syntax(capsys):

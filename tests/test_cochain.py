@@ -27,7 +27,6 @@ from deligne import (
     verify_trivialization,
     zero_cochain,
 )
-from deligne.cochain import cech_delta_level
 from deligne._scalars import TWO_PI
 
 TRIANGLE = build_complex([(0, 1, 2)])
@@ -166,7 +165,7 @@ def test_cech_delta_level_matches_inline_expansion():
         - b.component(0, v, (0, 2))
         + b.component(0, v, (0, 1))
     )
-    assert cech_delta_level(b, 0, v, J) == pytest.approx(expect)
+    assert cech_delta(b, v, J) == pytest.approx(expect)
 
 
 # -- validation ----------------------------------------------------------------

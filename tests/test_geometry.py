@@ -1,6 +1,5 @@
-"""Charted model spaces: lifts, jumps, quadrature, subdivision transport."""
+"""Charted model spaces: lifts, jumps, subdivision transport."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from deligne import (
     AnalyticError,
     GEOMETRY_BUILDERS,
     get_geometry,
-    simplex_quadrature,
     subdivide_geometry,
     torus2_axis_loop,
     torus3_plane_slice,
@@ -114,37 +112,6 @@ def test_vertex_value_reads_first_row(circle_3arc):
         for a in g.covered.admissible_of(v):
             if (a, v) in g.lifts:
                 assert g.vertex_value(a, v, 0) == g.lifts[(a, v)][0][0]
-
-
-# -- quadrature -----------------------------------------------------------------
-
-
-def test_quadrature_weights_sum_to_simplex_volume():
-    for k in (1, 2, 3):
-        pts, wts = simplex_quadrature(k, 6)
-        assert wts.sum() == pytest.approx(1.0 / math.factorial(k))
-        assert pts.shape == (6**k, k)
-        assert (pts >= 0).all() and pts.sum(axis=1).max() <= 1.0 + 1e-12
-
-
-def test_quadrature_polynomial_exactness():
-    pts, wts = simplex_quadrature(1, 4)
-    x = pts[:, 0]
-    assert (wts * x**2).sum() == pytest.approx(1.0 / 3.0)
-    assert (wts * x**7).sum() == pytest.approx(1.0 / 8.0)
-    pts, wts = simplex_quadrature(2, 5)
-    lam1 = pts[:, 0]
-    lam2 = pts[:, 1]
-    assert (wts * lam1).sum() == pytest.approx(1.0 / 6.0)
-    assert (wts * lam1 * lam2).sum() == pytest.approx(1.0 / 24.0)
-
-
-def test_quadrature_order_validation_and_cache():
-    with pytest.raises(AnalyticError):
-        simplex_quadrature(1, 0)
-    a = simplex_quadrature(2, 3)
-    b = simplex_quadrature(2, 3)
-    assert a[0] is b[0]
 
 
 # -- loops and slices -------------------------------------------------------------
