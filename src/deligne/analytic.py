@@ -35,7 +35,7 @@ from ._scalars import TWO_PI, Scalar, coerce, tree_sum
 from .cochain import DeligneCochain, build_cochain
 from .errors import AnalyticError
 from .geometry import ChartedGeometry
-from .simplicial import Simplex, determinant, sort_with_parity
+from .simplicial import Simplex, determinant, parity_sort
 
 # -- expression model ----------------------------------------------------------
 
@@ -61,11 +61,10 @@ ZERO_EXPR: FormExpr = ()
 
 
 def _wedge_join(w1: Tuple[int, ...], w2: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, ...], int]]:
-    combined = w1 + w2
-    if len(set(combined)) != len(combined):
+    srt, parity = parity_sort(w1 + w2)
+    if parity == 0:
         return None
-    srt, parity = sort_with_parity(combined) if combined else ((), 1)
-    return tuple(srt), parity
+    return srt, parity
 
 
 def expr_product(e1: FormExpr, e2: FormExpr) -> FormExpr:

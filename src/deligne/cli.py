@@ -29,7 +29,6 @@ from .cochain import glue_cochains, exact_shift, validate_cocycle
 from .cover import default_index_map, random_index_map
 from .errors import DeligneError, HolonomyError, TransgressionError
 from .geometry import (
-    GEOMETRY_BUILDERS,
     ChartedGeometry,
     get_geometry,
     subdivide_geometry,
@@ -47,7 +46,6 @@ from .io import (
     save_complex,
     save_cover,
     scalar_to_json,
-    write_canonical,
 )
 from .simplicial import barycentric_subdivide
 from .transgression import (

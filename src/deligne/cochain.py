@@ -15,47 +15,39 @@ The cocycle conditions use the fixed sign convention
     delta C^k = (-1)^(p-k) * d C^(k-1)    for k = 1..p,
 
 with level 0 replaced by integrality: delta C^0 must land in 2*pi*Z.
+
+Both differentials are evaluated by one kernel on canonical keys only:
+dropping one index from an increasing multi-index keeps it increasing, and
+the facets of a canonical simplex are canonical, so every term is one dict
+lookup with no sorting.  Whole-cochain passes (validation, the gauge move,
+trivialization and Chern class extraction) first rescale exact entries to
+Python-int numerators over the lcm of all the cochains' denominators, sum
+those as ints and build a Fraction only for a stored value or a nonzero
+residual; float mode sums the same terms with math.fsum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import fsum, isfinite, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ._scalars import (
-    Scalar,
-    coerce,
-    full_turn,
-    integer_residual,
-    tree_sum,
-    zero,
-)
+from ._scalars import TWO_PI, Scalar, coerce, integer_residual, zero
 from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
     Simplex,
     disjoint_union,
-    facets_of,
     glue_along_boundary,
+    parity_sort,
     reverse_orientation,
     sort_with_parity,
 )
 
 MultiIndex = Tuple[int, ...]
 Key = Tuple[int, Simplex, MultiIndex]
-
-
-def _sort_index(indices: Sequence[int]) -> Tuple[MultiIndex, int]:
-    """Sort a multi-index, returning parity; parity 0 flags a repeat."""
-    idx = tuple(int(a) for a in indices)
-    if len(set(idx)) != len(idx):
-        return tuple(sorted(idx)), 0
-    inversions = 0
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] > idx[j]:
-                inversions += 1
-    return tuple(sorted(idx)), (-1) ** inversions
+Values = Mapping[Key, Scalar]
 
 
 class DeligneCochain:
@@ -78,7 +70,7 @@ class DeligneCochain:
     def component(self, k: int, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
         """Evaluate C^k with antisymmetry in both arguments."""
         s, ps = sort_with_parity(tuple(sigma))
-        idx, pi = _sort_index(indices)
+        idx, pi = parity_sort(tuple(indices))
         if pi == 0:
             return zero(self.exact)
         value = self._data.get((k, s, idx))
@@ -129,7 +121,7 @@ def build_cochain(
                 f"got {tuple(indices)}"
             )
         value = coerce(raw, exact)
-        idx, pi = _sort_index(indices)
+        idx, pi = parity_sort(tuple(indices))
         if pi == 0:
             if value != 0:
                 raise CochainError(
@@ -159,14 +151,60 @@ def zero_cochain(base: CoveredComplex, degree: int, exact: bool = False) -> Deli
 # -- differentials -----------------------------------------------------------
 
 
+def _scaled(exact: bool, *cochains: DeligneCochain) -> Tuple[List[Values], int]:
+    """Per-call kernel input: one value map per cochain and its scale.
+
+    Exact mode rescales every entry to a Python-int numerator over the lcm
+    of all the cochains' denominators; float mode passes the stored floats
+    through over 1.  The maps are built for one call and thrown away.
+    """
+    if not exact:
+        return [c._data for c in cochains], 1
+    scale = lcm(*{v.denominator for c in cochains for v in c._data.values()})
+    maps = [
+        {key: v.numerator * (scale // v.denominator) for key, v in c._data.items()}
+        for c in cochains
+    ]
+    return maps, scale
+
+
+def _unscaled(x: Scalar, scale: int, exact: bool) -> Scalar:
+    """A kernel value back in the cochain's scalar type."""
+    return Fraction(x, scale) if exact else x
+
+
+def _residual(gap: Scalar, scale: int, exact: bool) -> Scalar:
+    """|gap| from kernel units; exact mode builds a Fraction only if nonzero."""
+    r = abs(gap)
+    return Fraction(r, scale) if exact and r else r
+
+
+def _delta(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar:
+    """Kernel: (delta X^k)(s, J) for canonical s and increasing J."""
+    get = values.get
+    terms = [
+        (-1) ** j * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))
+    ]
+    return sum(terms) if exact else fsum(terms)
+
+
+def _d(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar:
+    """Kernel: (d X^(k-1))(s, J) for a canonical k-simplex s."""
+    get = values.get
+    terms = [
+        (-1) ** j * get((k - 1, s[:j] + s[j + 1:], J), 0) for j in range(len(s))
+    ]
+    return sum(terms) if exact else fsum(terms)
+
+
 def cech_delta(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
     """(delta C^k)(sigma, indices), k = dim sigma, |indices| = stored + 1."""
-    k = len(tuple(sigma)) - 1
-    terms = [
-        (-1) ** j * c.component(k, sigma, tuple(indices[:j]) + tuple(indices[j + 1:]))
-        for j in range(len(indices))
-    ]
-    return tree_sum(terms, c.exact)
+    s, ps = sort_with_parity(tuple(sigma))
+    J, pj = parity_sort(tuple(indices))
+    if pj == 0:
+        return zero(c.exact)
+    value = _delta(c._data, c.exact, len(s) - 1, s, J)
+    return _unscaled(ps * pj * value, 1, c.exact)
 
 
 def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
@@ -177,11 +215,36 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     the facets follows from admissibility for sigma.
     """
     s, ps = sort_with_parity(tuple(sigma))
-    terms = [
-        inc * c.component(len(tau) - 1, tau, indices)
-        for tau, inc in facets_of(s)
-    ]
-    return ps * tree_sum(terms, c.exact)
+    if len(s) < 2:
+        raise CochainError(f"discrete_d needs a simplex of dimension >= 1, got {s}")
+    J, pj = parity_sort(tuple(indices))
+    if pj == 0:
+        return zero(c.exact)
+    value = _d(c._data, c.exact, len(s) - 1, s, J)
+    return _unscaled(ps * pj * value, 1, c.exact)
+
+
+def _nearest_turn(x: Scalar, scale: int, exact: bool) -> Tuple[Optional[int], Scalar]:
+    """(n, |x / turn - n|) for a kernel level-0 value x: the residual in turns.
+
+    Exact mode reads x as turns over ``scale`` and rounds half to even, as
+    round() does on a Fraction; the residual is 0 or a Fraction.  A
+    non-finite float has no nearest n and keeps its size as the residual.
+    """
+    if not exact:
+        if not isfinite(x):
+            return None, abs(x) / TWO_PI
+        n, residual = integer_residual(x, False)
+        return n, residual / TWO_PI
+    n, r = divmod(x, scale)
+    if 2 * r > scale or (2 * r == scale and n % 2):
+        n += 1
+    return n, _residual(x - n * scale, scale, exact)
+
+
+def _worse(residual: Scalar, top: Scalar) -> bool:
+    """Whether residual replaces top as the worst: NaN wins and then stays."""
+    return not (residual <= top) and top == top
 
 
 # -- validation --------------------------------------------------------------
@@ -218,38 +281,39 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     """
     p = c.degree
     K = c.base.complex
-    threshold = 0 if c.exact else tol
+    exact = c.exact
+    threshold = 0 if exact else tol
+    (values,), scale = _scaled(exact, c)
     worst: Dict[int, Scalar] = {}
     checked: Dict[int, int] = {}
     failing: List[FailedCondition] = []
 
     # Level 0 residuals are measured in turns: |delta C^0 / 2pi - n|.
-    turn = full_turn(c.exact)
     count = 0
-    top = zero(c.exact)
+    top = zero(exact)
     for v in K.simplices(0):
         for J in c.base.multi_indices(v, p + 2):
-            n, residual = integer_residual(cech_delta(c, v, J), c.exact)
-            residual = residual / turn
+            n, residual = _nearest_turn(_delta(values, exact, 0, v, J), scale, exact)
             count += 1
-            if residual > top:
+            if _worse(residual, top):
                 top = residual
-            if residual > threshold:
+            if not (residual <= threshold):
                 failing.append(FailedCondition(0, v, J, residual, n))
     worst[0] = top
     checked[0] = count
 
     for k in range(1, p + 1):
         count = 0
-        top = zero(c.exact)
+        top = zero(exact)
         sign = (-1) ** (p - k)
         for s in K.simplices(k):
             for J in c.base.multi_indices(s, p - k + 2):
-                residual = abs(cech_delta(c, s, J) - sign * discrete_d(c, s, J))
+                gap = _delta(values, exact, k, s, J) - sign * _d(values, exact, k, s, J)
+                residual = _residual(gap, scale, exact)
                 count += 1
-                if residual > top:
+                if _worse(residual, top):
                     top = residual
-                if residual > threshold:
+                if not (residual <= threshold):
                     failing.append(FailedCondition(k, s, J, residual))
         worst[k] = top
         checked[k] = count
@@ -298,14 +362,15 @@ def dual(c: DeligneCochain) -> DeligneCochain:
     )
 
 
-def _shift_value(c: DeligneCochain, b: DeligneCochain, k: int, s: Simplex, J: MultiIndex) -> Scalar:
-    """(c + D(b))^k at (s, J) with b of degree p-1 and b^p treated as 0."""
-    p = c.degree
-    value = c.component(k, s, J)
-    if k <= b.degree:
-        value = value + cech_delta(b, s, J)
+def _shift_value(
+    cv: Values, bv: Values, exact: bool, p: int, k: int, s: Simplex, J: MultiIndex
+) -> Scalar:
+    """Kernel: (c + D(b))^k at canonical (s, J), with b^p treated as 0."""
+    value = cv.get((k, s, J), 0)
+    if k < p:
+        value = value + _delta(bv, exact, k, s, J)
     if k >= 1:
-        value = value + (-1) ** (p - k) * discrete_d(b, s, J)
+        value = value + (-1) ** (p - k) * _d(bv, exact, k, s, J)
     return value
 
 
@@ -316,14 +381,16 @@ def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
         raise CochainError("exact_shift needs deg(b) = deg(c) - 1 >= 0")
     p = c.degree
     K = c.base.complex
+    exact = c.exact
+    (cv, bv), scale = _scaled(exact, c, b)
     data: Dict[Key, Scalar] = {}
     for k in range(0, p + 1):
         for s in K.simplices(k):
             for J in c.base.multi_indices(s, p - k + 1):
-                v = _shift_value(c, b, k, s, J)
+                v = _shift_value(cv, bv, exact, p, k, s, J)
                 if v != 0:
-                    data[(k, s, J)] = v
-    return DeligneCochain(c.base, p, data, c.exact, c.cocycle)
+                    data[(k, s, J)] = _unscaled(v, scale, exact)
+    return DeligneCochain(c.base, p, data, exact, c.cocycle)
 
 
 @dataclass(frozen=True)
@@ -353,36 +420,38 @@ def verify_trivialization(
         raise CochainError("trivialization candidate must have degree p - 1")
     p = c.degree
     K = c.base.complex
-    threshold = 0 if c.exact else tol
-    nothing = zero_cochain(c.base, p, c.exact)
+    exact = c.exact
+    threshold = 0 if exact else tol
+    (cv, bv), scale = _scaled(exact, c, b)
     lower_worst: Dict[int, Scalar] = {}
     lower_failing: List[FailedCondition] = []
     for k in range(0, p):
-        top = zero(c.exact)
+        top = zero(exact)
         for s in K.simplices(k):
             for J in c.base.multi_indices(s, p - k + 1):
-                shifted = _shift_value(nothing, b, k, s, J)
-                residual = abs(c.component(k, s, J) - shifted)
-                if residual > top:
+                shifted = _shift_value({}, bv, exact, p, k, s, J)  # D(b) alone
+                residual = _residual(cv.get((k, s, J), 0) - shifted, scale, exact)
+                if _worse(residual, top):
                     top = residual
-                if residual > threshold:
+                if not (residual <= threshold):
                     lower_failing.append(FailedCondition(k, s, J, residual))
         lower_worst[k] = top
 
     top_residuals: Dict[Simplex, Scalar] = {}
-    spread = zero(c.exact)
+    spread = zero(exact)
     ok = not lower_failing
     for s in K.simplices(p):
         values = [
-            c.component(p, s, (a,)) - discrete_d(b, s, (a,))
+            _unscaled(cv.get((p, s, (a,)), 0) - _d(bv, exact, p, s, (a,)), scale, exact)
             for a in c.base.admissible_of(s)
         ]
         top_residuals[s] = values[0]
-        local = max(abs(v - values[0]) for v in values)
-        if local > spread:
-            spread = local
-        if any(abs(v) > threshold for v in values):
-            ok = False
+        for v in values:
+            gap = abs(v - values[0])
+            if _worse(gap, spread):
+                spread = gap
+            if not (abs(v) <= threshold):
+                ok = False
     return TrivializationReport(
         degree=p,
         exact=c.exact,
@@ -407,7 +476,7 @@ class IntegerCechCocycle:
     entries: Mapping[Tuple[Simplex, MultiIndex], int] = field(default_factory=dict)
 
     def value(self, v: Sequence[int], indices: Sequence[int]) -> int:
-        idx, pi = _sort_index(indices)
+        idx, pi = parity_sort(tuple(indices))
         if pi == 0:
             return 0
         return pi * self.entries.get((tuple(v), idx), 0)
@@ -424,26 +493,24 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
         raise CochainError("chern_cocycle requires a cochain flagged as cocycle")
     p = c.degree
     K = c.base.complex
-    threshold = 0 if c.exact else tol
-    turn = full_turn(c.exact)
+    exact = c.exact
+    threshold = 0 if exact else tol
+    (values,), scale = _scaled(exact, c)
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
     for v in K.simplices(0):
         for J in c.base.multi_indices(v, p + 2):
-            n, residual = integer_residual(cech_delta(c, v, J), c.exact)
-            if residual / turn > threshold:
+            n, residual = _nearest_turn(_delta(values, exact, 0, v, J), scale, exact)
+            if not (residual <= threshold):
                 raise CochainError(
-                    f"integrality violation at {v} {J}: residual {residual}"
+                    f"integrality violation at {v} {J}: residual {residual} turns"
                 )
             if n != 0:
                 entries[(v, J)] = n
     cocycle = IntegerCechCocycle(c.base, p + 2, entries)
+    numbers = {(0, v, J): n for (v, J), n in entries.items()}
     for v in K.simplices(0):
         for J in c.base.multi_indices(v, p + 3):
-            total = sum(
-                (-1) ** j * cocycle.value(v, J[:j] + J[j + 1:])
-                for j in range(len(J))
-            )
-            if total != 0:
+            if _delta(numbers, True, 0, v, J) != 0:
                 raise CochainError(f"rounded cocycle is not closed at {v} {J}")
     return cocycle
 

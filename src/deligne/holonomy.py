@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Tuple
 
-from ._scalars import Scalar, integer_residual, tree_sum, wrap, zero
+from ._scalars import Scalar, integer_residual, tree_sum, wrap
 from .cochain import DeligneCochain, discrete_d
 from .cover import CoveredComplex, IndexMap
 from .errors import HolonomyError
@@ -142,10 +142,10 @@ def curvature_total(
     per: dict = {}
     for t in K.tops:
         values = [discrete_d(c, t, (a,)) for a in c.base.admissible_of(t)]
-        spread = max(abs(v - values[0]) for v in values)
-        if spread > threshold:
+        gaps = [abs(v - values[0]) for v in values]
+        if not all(gap <= threshold for gap in gaps):
             raise HolonomyError(
-                f"curvature of {t} depends on the chart choice (spread {spread})"
+                f"curvature of {t} depends on the chart choice (spread {max(gaps)})"
             )
         per[t] = K.orientation(t) * discrete_d(c, t, (rho(t),))
     total = tree_sum([per[t] for t in K.tops], c.exact)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Tuple
 
 from ._scalars import Scalar
 from .cochain import DeligneCochain, build_cochain

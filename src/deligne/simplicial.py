@@ -27,25 +27,39 @@ Vertex = int
 Simplex = Tuple[int, ...]
 
 
+def parity_sort(items: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
+    """Sort a tuple, returning the sign of the sorting permutation.
+
+    The sign is 0 when an entry repeats: an alternating function vanishes
+    there.  This is the one inversion count behind every orientation and
+    multi-index parity in the package.
+    """
+    n = len(items)
+    inversions = 0
+    for i in range(n):
+        a = items[i]
+        for j in range(i + 1, n):
+            if a > items[j]:
+                inversions += 1
+            elif a == items[j]:
+                return tuple(sorted(items)), 0
+    return tuple(sorted(items)), -1 if inversions % 2 else 1
+
+
 def sort_with_parity(verts: Sequence[int]) -> Tuple[Simplex, int]:
     """Sort a vertex tuple, returning the permutation parity as +-1.
 
     Raises on repeated labels; a degenerate simplex has no orientation.
     """
-    n = len(verts)
-    if n == 0:
+    if not verts:
         raise ComplexError("empty vertex tuple is not a simplex")
     for v in verts:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ComplexError(f"vertex labels must be integers, got {v!r}")
-    if len(set(verts)) != n:
+    s, parity = parity_sort(verts)
+    if parity == 0:
         raise ComplexError(f"repeated vertex label in simplex {tuple(verts)}")
-    inversions = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if verts[i] > verts[j]:
-                inversions += 1
-    return tuple(sorted(verts)), (-1) ** inversions
+    return s, parity
 
 
 def facets_of(sigma: Simplex) -> Tuple[Tuple[Simplex, int], ...]:

@@ -19,7 +19,7 @@ word sum evaluates the same angle mod 2*pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ._scalars import Scalar, integer_residual, tree_sum, wrap, wrap_distance
 from .cochain import DeligneCochain, restrict_cochain

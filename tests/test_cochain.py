@@ -8,16 +8,24 @@ from hypothesis import given, settings, strategies as st
 
 from deligne import (
     CochainError,
+    CocycleReport,
+    DeligneCochain,
+    DeligneError,
+    FailedCondition,
+    HolonomyError,
     attach_cover,
     build_cochain,
     build_complex,
     cech_delta,
     chern_cocycle,
+    default_index_map,
     discrete_d,
     disjoint_union_cochains,
     dual,
     exact_shift,
+    get_geometry,
     glue_cochains,
+    holonomy,
     random_cochain,
     restrict_cochain,
     reverse_cochain,
@@ -157,15 +165,34 @@ def test_discrete_d_uses_incidence():
 
 
 def test_cech_delta_level_matches_inline_expansion():
-    b = random_cochain(TRI_COVER, 0, seed=4)
-    J = (0, 1, 2)
-    v = (1,)
-    expect = (
-        b.component(0, v, (1, 2))
-        - b.component(0, v, (0, 2))
-        + b.component(0, v, (0, 1))
-    )
-    assert cech_delta(b, v, J) == pytest.approx(expect)
+    """Unsorted simplices, permuted and repeated indices: both differentials
+    equal their alternating expansion through the antisymmetric component."""
+    for exact in (True, False):
+        b = random_cochain(TRI_COVER, 2, seed=4, exact=exact)
+        for sigma, J in [
+            ((1, 0), (2, 0, 1)),
+            ((2, 1), (0, 2, 1)),
+            ((0, 2), (1, 0, 1)),
+            ((2, 0, 1), (1, 0)),
+            ((1, 2, 0), (2, 2)),
+            ((0,), (0, 2, 1, 0)),
+        ]:
+            delta = sum(
+                (-1) ** j * b.component(len(sigma) - 1, sigma, J[:j] + J[j + 1:])
+                for j in range(len(J))
+            )
+            close = (lambda x: x) if exact else (lambda x: pytest.approx(x, abs=1e-12))
+            assert cech_delta(b, sigma, J) == close(delta)
+            if len(sigma) > 1:
+                d = sum(
+                    (-1) ** j * b.component(len(sigma) - 2, sigma[:j] + sigma[j + 1:], J)
+                    for j in range(len(sigma))
+                )
+                assert discrete_d(b, sigma, J) == close(d)
+            if exact:
+                assert isinstance(cech_delta(b, sigma, J), Fraction)
+    with pytest.raises(DeligneError):
+        discrete_d(b, (1,), (0, 1, 2))
 
 
 # -- validation ----------------------------------------------------------------
@@ -434,3 +461,114 @@ def test_gauge_orbit_always_validates(seed):
     b = random_cochain(TRI_COVER, 1, seed=seed, exact=True)
     c = exact_shift(zero_cochain(TRI_COVER, 2, exact=True), b)
     assert validate_cocycle(c).passed
+
+
+# -- kernel against a component-only reference ---------------------------------
+
+
+def reference_sum(terms, exact):
+    return sum(terms, Fraction(0)) if exact else math.fsum(terms)
+
+
+def reference_delta(c, k, s, J):
+    terms = [(-1) ** j * c.component(k, s, J[:j] + J[j + 1:]) for j in range(len(J))]
+    return reference_sum(terms, c.exact)
+
+
+def reference_d(c, k, s, J):
+    terms = [(-1) ** j * c.component(k - 1, s[:j] + s[j + 1:], J) for j in range(len(s))]
+    return reference_sum(terms, c.exact)
+
+
+def reference_validate(c, tol=1e-9):
+    """validate_cocycle's report, computed through c.component alone."""
+    p, K, exact = c.degree, c.base.complex, c.exact
+    threshold = 0 if exact else tol
+    turn = Fraction(1) if exact else TWO_PI
+    worst, checked, failing = {}, {}, []
+    for k in range(p + 1):
+        top, count = Fraction(0) if exact else 0.0, 0
+        for s in K.simplices(k):
+            for J in c.base.multi_indices(s, p - k + 2):
+                x = reference_delta(c, k, s, J)
+                if k == 0:
+                    n = int(round(x / turn))
+                    residual = abs(x - n * turn) / turn
+                else:
+                    n = None
+                    residual = abs(x - (-1) ** (p - k) * reference_d(c, k, s, J))
+                count += 1
+                top = max(top, residual)
+                if residual > threshold:
+                    failing.append(FailedCondition(k, s, J, residual, n))
+        worst[k], checked[k] = top, count
+    return CocycleReport(p, exact, tol, worst, checked, tuple(failing))
+
+
+def reference_shift(c, b):
+    """exact_shift's stored entries, computed through component alone."""
+    p, out = c.degree, []
+    for k in range(p + 1):
+        for s in c.base.complex.simplices(k):
+            for J in c.base.multi_indices(s, p - k + 1):
+                v = c.component(k, s, J)
+                if k < p:
+                    v = v + reference_delta(b, k, s, J)
+                if k >= 1:
+                    v = v + (-1) ** (p - k) * reference_d(b, k, s, J)
+                if v != 0:
+                    out.append((k, s, J, v))
+    return out
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+@pytest.mark.parametrize("name", ["annulus", "solid-torus"])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_kernel_matches_component_reference(name, exact, seed):
+    cover = star_cover(get_geometry(name).covered.complex)
+    p = cover.complex.dim
+    b = random_cochain(cover, p - 1, seed, exact=exact)
+    c = random_cochain(cover, p, seed + 1, exact=exact)
+
+    shifted = list(exact_shift(c, b).entries())
+    assert shifted == reference_shift(c, b)
+    assert all(type(v) is (Fraction if exact else float) for *_, v in shifted)
+    assert validate_cocycle(c) == reference_validate(c)
+
+    orbit = exact_shift(zero_cochain(cover, p, exact=exact), b)
+    assert validate_cocycle(orbit) == reference_validate(orbit)
+    keys = [(k, s, J) for k, s, J, _ in orbit.entries()]
+    bump = Fraction(1, 7) if exact else 0.37
+    for level in range(p + 1):
+        k, s, J = [key for key in keys if key[0] == level][seed % 7]
+        broken = tensor(orbit, build_cochain(cover, p, [(k, J, s, bump)], exact=exact))
+        report = validate_cocycle(broken)
+        assert not report.passed
+        assert report == reference_validate(broken)
+        if exact:
+            assert all(type(f.residual) is Fraction for f in report.failing)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_nan_entry_fails_validation_and_blocks_holonomy(torus2_4chart, level):
+    cover = star_cover(torus2_4chart.covered.complex)
+    orbit = exact_shift(zero_cochain(cover, 2), random_cochain(cover, 1, seed=3))
+    assert validate_cocycle(orbit).passed
+    data = {(k, s, J): v for k, s, J, v in orbit.entries()}
+    key = min(key for key in data if key[0] == level)
+    data[key] = math.nan
+    c = DeligneCochain(cover, 2, data, exact=False, cocycle=True)
+
+    report = validate_cocycle(c)
+    assert not report.passed and not c.cocycle
+    nan_levels = {f.level for f in report.failing if math.isnan(f.residual)}
+    assert level in nan_levels
+    assert nan_levels <= {level, level + 1}
+    for f in report.failing:
+        assert math.isnan(f.residual)
+        assert key[1] == f.simplex or set(key[1]) < set(f.simplex)
+        assert set(key[2]) <= set(f.indices)
+    assert all(math.isnan(report.worst[k]) for k in nan_levels)
+    with pytest.raises(HolonomyError):
+        holonomy(c, default_index_map(cover))
