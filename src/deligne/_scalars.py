@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import fsum, isfinite, pi
 from typing import Iterable, Union
 
+from .errors import CochainError
+
 Scalar = Union[float, Fraction]
 
 TWO_PI = 2.0 * pi
@@ -78,18 +80,19 @@ def integer_residual(x: Scalar, exact: bool) -> tuple[int, Scalar]:
 def tree_sum(values: Iterable[Scalar], exact: bool) -> Scalar:
     """Deterministic sum, independent of how the caller batched the terms.
 
-    Floats use math.fsum (exact up to one final rounding, hence stable
-    under reordering of equal inputs); Fractions sum exactly.
+    Floats use one math.fsum (exact up to one final rounding, hence stable
+    under reordering of equal inputs; NaN passes through, an overflow or
+    inf - inf raises CochainError); exact values add exactly.
     """
     vals = list(values)
     if not vals:
         return zero(exact)
     if exact:
-        total = Fraction(0)
-        for v in vals:
-            total += v
-        return total
-    return fsum(vals)
+        return sum(vals)
+    try:
+        return fsum(vals)
+    except (OverflowError, ValueError) as e:
+        raise CochainError(f"float sum failed: {e}") from None
 
 
 def to_radians(x: Scalar, exact: bool) -> float:

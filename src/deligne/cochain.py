@@ -23,17 +23,18 @@ lookup with no sorting.  Whole-cochain passes (validation, the gauge move,
 trivialization and Chern class extraction) first rescale exact entries to
 Python-int numerators over the lcm of all the cochains' denominators, sum
 those as ints and build a Fraction only for a stored value or a nonzero
-residual; float mode sums the same terms with math.fsum.
+residual; float mode sums the same terms with math.fsum.  The flag sums'
+word kernel does the same, with one parity sort per chart word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import fsum, isfinite, lcm
+from math import isfinite, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ._scalars import TWO_PI, Scalar, coerce, integer_residual, zero
+from ._scalars import TWO_PI, Scalar, coerce, integer_residual, tree_sum, zero
 from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
@@ -48,6 +49,7 @@ from .simplicial import (
 MultiIndex = Tuple[int, ...]
 Key = Tuple[int, Simplex, MultiIndex]
 Values = Mapping[Key, Scalar]
+Term = Tuple[int, int, Simplex, Sequence[int]]  # (sign, k, simplex, chart word)
 
 
 class DeligneCochain:
@@ -185,7 +187,7 @@ def _delta(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Sc
     terms = [
         (-1) ** j * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))
     ]
-    return sum(terms) if exact else fsum(terms)
+    return sum(terms) if exact else tree_sum(terms, False)
 
 
 def _d(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar:
@@ -194,7 +196,25 @@ def _d(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar
     terms = [
         (-1) ** j * get((k - 1, s[:j] + s[j + 1:], J), 0) for j in range(len(s))
     ]
-    return sum(terms) if exact else fsum(terms)
+    return sum(terms) if exact else tree_sum(terms, False)
+
+
+def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
+    """Kernel: per group of (sign, k, s, word) terms with s canonical and the
+    word in any order, the sum of sign * C^k(s, word) in c's scalar type.
+    All groups share one per-call scaled value map."""
+    exact = c.exact
+    (values,), scale = _scaled(exact, c)
+    get = values.get
+    sums = []
+    for terms in groups:
+        out = []
+        for sign, k, s, word in terms:
+            idx, parity = parity_sort(word)
+            if parity:
+                out.append(sign * parity * get((k, s, idx), 0))
+        sums.append(_unscaled(tree_sum(out, exact), scale, exact))
+    return sums
 
 
 def cech_delta(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:

@@ -63,7 +63,8 @@ def attach_cover(
     missing = [t for t in K.tops if t not in canon]
     if missing:
         raise CoverError(f"cover misses top simplices, e.g. {missing[0]}")
-    extra = [t for t in canon if t not in set(K.tops)]
+    tops = set(K.tops)
+    extra = [t for t in canon if t not in tops]
     if extra:
         raise CoverError(f"cover assigns charts to non-top simplex {extra[0]}")
 

@@ -9,15 +9,18 @@ with the multi-index evaluated through the alternating convention, so a
 repeated chart along the flag kills the term.  The same sum on a complex
 with boundary is the rho-dependent local action; the difference of two
 local actions is what the transgression module turns into boundary data.
+Both modules feed every flag sum as (sign, k, simplex, word) terms to the
+cochain module's one word kernel, after one precondition check per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Tuple
+from math import isfinite
+from typing import Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ._scalars import Scalar, integer_residual, tree_sum, wrap
-from .cochain import DeligneCochain, discrete_d
+from .cochain import DeligneCochain, Term, _word_sums, discrete_d
 from .cover import CoveredComplex, IndexMap
 from .errors import HolonomyError
 from .simplicial import Simplex
@@ -52,62 +55,72 @@ def check_index_map(C: CoveredComplex, rho: IndexMap) -> None:
             raise HolonomyError(f"index map picks inadmissible chart {a} for {s}")
 
 
-def _flag_sum(c: DeligneCochain, rho: IndexMap) -> HolonomyValue:
-    p = c.degree
+class _FlagSums:
+    """The flag sums of one public call.  The constructor is the one
+    precondition path (cocycle flag, dimension, oriented pseudomanifold,
+    closedness on request, every index map), raising ``error`` naming ``op``;
+    every sum handed back passes :meth:`finite`."""
+
+    def __init__(
+        self, c: DeligneCochain, rhos: Sequence[IndexMap], op: str, error: type,
+        closed: bool = False,
+    ):
+        K = c.base.complex
+        if not c.cocycle:
+            raise error(f"{op} needs a cochain flagged as cocycle")
+        if K.dim != c.degree:
+            raise error(f"{op} needs a complex of dimension {c.degree}, got {K.dim}")
+        if not K.pseudomanifold:
+            raise error(f"{op} needs an oriented pseudomanifold")
+        if closed and not K.closed:
+            raise error(f"{op} needs a closed complex; use local_action")
+        for rho in rhos:
+            check_index_map(c.base, rho)
+        self.c, self.op, self.error = c, op, error
+
+    def __call__(self, *groups: Iterable[Term]) -> List[Scalar]:
+        return [self.finite(x) for x in _word_sums(self.c, *groups)]
+
+    def finite(self, x: Scalar) -> Scalar:
+        if not (self.c.exact or isfinite(x)):
+            raise self.error(f"{self.op} sum is not finite: {x}")
+        return x
+
+    def action(self, levels: Sequence[Scalar]) -> HolonomyValue:
+        """The local action from its level sums, codimension 0 first."""
+        c = self.c
+        counts = [len(c.base.complex.flags(c.degree - n)) for n in range(len(levels))]
+        raw = self.finite(tree_sum(levels, c.exact))
+        level_sums = tuple(map(LevelSum, range(len(levels)), levels, counts))
+        return HolonomyValue(raw, wrap(raw, c.exact), level_sums, sum(counts), c.exact)
+
+    def difference(self, levels: Sequence[Scalar]) -> Scalar:
+        """The local action of the first half of the levels minus the second's."""
+        n = len(levels) // 2
+        return self.finite(self.action(levels[:n]).raw - self.action(levels[n:]).raw)
+
+
+def _action_words(c: DeligneCochain, rho: IndexMap) -> List[Iterator[Term]]:
+    """The local action's term groups, one per codimension n = 0..p."""
     K = c.base.complex
-    levels = []
-    total_flags = 0
-    level_values = []
-    for n in range(p + 1):
-        terms = []
-        flags = K.flags(p - n)
-        for flag in flags:
-            word = tuple(rho(s) for s in flag.chain)
-            terms.append(flag.sign * c.component(p - n, flag.chain[-1], word))
-        value = tree_sum(terms, c.exact)
-        levels.append(LevelSum(n, value, len(flags)))
-        level_values.append(value)
-        total_flags += len(flags)
-    raw = tree_sum(level_values, c.exact)
-    return HolonomyValue(
-        raw=raw,
-        angle=wrap(raw, c.exact),
-        levels=tuple(levels),
-        flag_count=total_flags,
-        exact=c.exact,
-    )
+
+    def words(k: int) -> Iterator[Term]:
+        for flag in K.flags(k):
+            yield flag.sign, k, flag.chain[-1], tuple(map(rho, flag.chain))
+
+    return [words(c.degree - n) for n in range(c.degree + 1)]
 
 
 def holonomy(c: DeligneCochain, rho: IndexMap) -> HolonomyValue:
     """Holonomy over a closed oriented complex of dimension exactly p."""
-    K = c.base.complex
-    if not c.cocycle:
-        raise HolonomyError("holonomy needs a cochain flagged as cocycle")
-    if K.dim != c.degree:
-        raise HolonomyError(
-            f"holonomy needs a complex of dimension {c.degree}, got {K.dim}"
-        )
-    if not K.pseudomanifold:
-        raise HolonomyError("holonomy needs an oriented pseudomanifold")
-    if not K.closed:
-        raise HolonomyError("holonomy needs a closed complex; use local_action")
-    check_index_map(c.base, rho)
-    return _flag_sum(c, rho)
+    sums = _FlagSums(c, (rho,), "holonomy", HolonomyError, closed=True)
+    return sums.action(sums(*_action_words(c, rho)))
 
 
 def local_action(c: DeligneCochain, rho: IndexMap) -> HolonomyValue:
     """The same flag sum on a with-boundary complex; rho-dependent."""
-    K = c.base.complex
-    if not c.cocycle:
-        raise HolonomyError("local action needs a cochain flagged as cocycle")
-    if K.dim != c.degree:
-        raise HolonomyError(
-            f"local action needs a complex of dimension {c.degree}, got {K.dim}"
-        )
-    if not K.pseudomanifold:
-        raise HolonomyError("local action needs an oriented pseudomanifold")
-    check_index_map(c.base, rho)
-    return _flag_sum(c, rho)
+    sums = _FlagSums(c, (rho,), "local action", HolonomyError)
+    return sums.action(sums(*_action_words(c, rho)))
 
 
 @dataclass(frozen=True)

@@ -154,7 +154,7 @@ def resolve_ref(K: SimplicialComplex, ref) -> Simplex:
     ):
         raise SchemaError(f"bad simplex reference {ref!r}")
     dim, idx = ref
-    table = simplex_table(K, dim)
+    table = K.simplices(dim)
     if not 0 <= idx < len(table):
         raise SchemaError(f"simplex reference {ref!r} out of range")
     return table[idx]
@@ -261,7 +261,7 @@ def index_map_from_json(doc, C: CoveredComplex) -> IndexMap:
             dim, idx = int(parts[0]), int(parts[1])
         except ValueError:
             raise SchemaError(f"index-map key {key!r} is not dim/index") from None
-        table = simplex_table(K, dim)
+        table = K.simplices(dim)
         if not 0 <= idx < len(table):
             raise SchemaError(f"index-map key {key!r} out of range")
         assignment[table[idx]] = chart

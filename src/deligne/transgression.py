@@ -13,20 +13,21 @@ For p = 3 the composition G(rho0,rho1) + G(rho1,rho2) - G(rho0,rho2)
 telescopes to zero on the nose, while the same mixed-word sum built from
 the boundary surface's own flags lands in 2*pi*Z; that integer is the
 degree-3 descent cocycle on the boundary, and the explicit edge/vertex
-word sum evaluates the same angle mod 2*pi.
+word sum evaluates the same angle mod 2*pi.  Every formula here generates
+(sign, k, simplex, word) terms for the cochain module's word kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ._scalars import Scalar, integer_residual, tree_sum, wrap, wrap_distance
-from .cochain import DeligneCochain, restrict_cochain
-from .cover import IndexMap, restrict_cover_to_boundary, restrict_index_map
+from ._scalars import Scalar, integer_residual, wrap, wrap_distance
+from .cochain import DeligneCochain, Term
+from .cover import IndexMap
 from .errors import TransgressionError
-from .holonomy import check_index_map, local_action
-from .simplicial import facets_of
+from .holonomy import _action_words, _FlagSums
+from .simplicial import Flag, SimplicialComplex, boundary_restrict, facets_of
 
 
 @dataclass(frozen=True)
@@ -42,44 +43,36 @@ class TransitionValue:
     agreement_residual: Optional[Scalar] = None
 
 
-def _require_transition_input(c: DeligneCochain) -> None:
-    K = c.base.complex
-    if not c.cocycle:
-        raise TransgressionError("transition needs a cochain flagged as cocycle")
-    if K.dim != c.degree:
-        raise TransgressionError(
-            f"transition needs a complex of dimension {c.degree}, got {K.dim}"
-        )
-    if not K.pseudomanifold:
-        raise TransgressionError("transition needs an oriented pseudomanifold")
-
-
 def transition_general(
     c: DeligneCochain, rho0: IndexMap, rho1: IndexMap
 ) -> TransitionValue:
     """local_action(rho1) - local_action(rho0); the defining difference."""
-    _require_transition_input(c)
-    raw = local_action(c, rho1).raw - local_action(c, rho0).raw
+    sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
+    raw = sums.difference(sums(*_action_words(c, rho1), *_action_words(c, rho0)))
     return TransitionValue(raw=raw, angle=wrap(raw, c.exact), exact=c.exact, route="general")
 
 
-def _mixed_terms(
-    c: DeligneCochain,
-    positions: Sequence,  # simplices sigma^(p-1) .. sigma^(p-n), outermost first
-    rho0: IndexMap,
-    rho1: IndexMap,
-) -> Scalar:
-    """Sum over r of the alternating mixed words along one chain."""
-    n = len(positions)
-    target = positions[-1]
-    k = len(target) - 1
-    terms = []
-    for r in range(1, n + 1):
-        word = tuple(rho0(positions[i]) for i in range(r)) + tuple(
-            rho1(positions[i]) for i in range(r - 1, n)
-        )
-        terms.append((-1) ** (r + 1) * c.component(k, target, word))
-    return tree_sum(terms, c.exact)
+def _mixed_words(
+    flags: Sequence[Flag], rho0: IndexMap, rho1: IndexMap
+) -> Iterator[Term]:
+    """Along each flag's chain below its top, for r = 1..n: rho0 on the first
+    r simplices, rho1 on the last n - r + 1, sign (-1)^(r+1)."""
+    for flag in flags:
+        chain = flag.chain[1:]
+        target = chain[-1]
+        k = len(target) - 1
+        a = tuple(map(rho0, chain))
+        b = tuple(map(rho1, chain))
+        for r in range(1, len(chain) + 1):
+            yield (-1) ** (r + 1) * flag.sign, k, target, a[:r] + b[r - 1:]
+
+
+def _split_flags(K: SimplicialComplex, p: int) -> Tuple[List[Flag], List[Flag]]:
+    """Flags reaching codimension >= 1, as (boundary, interior) by whether
+    the codimension-1 simplex is a boundary facet."""
+    flags = [flag for n in range(1, p + 1) for flag in K.flags(p - n)]
+    boundary = [flag for flag in flags if flag.chain[1] in K.boundary_facets]
+    return boundary, [flag for flag in flags if flag.chain[1] not in K.boundary_facets]
 
 
 def transition_boundary(
@@ -91,26 +84,12 @@ def transition_boundary(
     boundary facet.  Interior contributions cancel pairwise and are
     reported so the cancellation is visible, not assumed.
     """
-    _require_transition_input(c)
-    check_index_map(c.base, rho0)
-    check_index_map(c.base, rho1)
-    p = c.degree
-    K = c.base.complex
-    boundary_terms: List[Scalar] = []
-    interior_terms: List[Scalar] = []
-    b_flags = i_flags = 0
-    for n in range(1, p + 1):
-        for flag in K.flags(p - n):
-            value = flag.sign * _mixed_terms(c, flag.chain[1:], rho0, rho1)
-            if flag.chain[1] in K.boundary_facets:
-                boundary_terms.append(value)
-                b_flags += 1
-            else:
-                interior_terms.append(value)
-                i_flags += 1
-    b_sum = tree_sum(boundary_terms, c.exact)
-    i_sum = tree_sum(interior_terms, c.exact)
-    raw = b_sum + i_sum
+    sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
+    boundary, interior = _split_flags(c.base.complex, c.degree)
+    b_sum, i_sum = sums(
+        _mixed_words(boundary, rho0, rho1), _mixed_words(interior, rho0, rho1)
+    )
+    raw = sums.finite(b_sum + i_sum)
     return TransitionValue(
         raw=raw,
         angle=wrap(raw, c.exact),
@@ -118,9 +97,21 @@ def transition_boundary(
         route="boundary",
         boundary_sum=b_sum,
         interior_sum=i_sum,
-        boundary_flags=b_flags,
-        interior_flags=i_flags,
+        boundary_flags=len(boundary),
+        interior_flags=len(interior),
     )
+
+
+def _edge_vertex_words(
+    K: SimplicialComplex, rho0: IndexMap, rho1: IndexMap
+) -> Iterator[Term]:
+    """transition_p2_boundary's words over boundary edges and their vertices."""
+    for e, s_e in sorted(K.boundary_facets.items()):
+        yield s_e, 1, e, (rho0(e), rho1(e))
+        for v, inc in facets_of(e):
+            sign = s_e * inc
+            yield -sign, 0, v, (rho0(e), rho0(v), rho1(v))
+            yield sign, 0, v, (rho0(e), rho1(e), rho1(v))
 
 
 def transition_p2_boundary(
@@ -137,37 +128,30 @@ def transition_p2_boundary(
     """
     if c.degree != 2:
         raise TransgressionError("the edge/vertex transition formula needs p = 2")
-    _require_transition_input(c)
-    check_index_map(c.base, rho0)
-    check_index_map(c.base, rho1)
+    sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
     K = c.base.complex
-    terms: List[Scalar] = []
-    count = 0
-    for e, s_e in sorted(K.boundary_facets.items()):
-        count += 1
-        terms.append(s_e * c.component(1, e, (rho0(e), rho1(e))))
-        for v, inc in facets_of(e):
-            sign = s_e * inc
-            terms.append(-sign * c.component(0, v, (rho0(e), rho0(v), rho1(v))))
-            terms.append(sign * c.component(0, v, (rho0(e), rho1(e), rho1(v))))
-    raw = tree_sum(terms, c.exact)
-    general = transition_general(c, rho0, rho1)
-    agreement = wrap_distance(raw, general.raw, c.exact)
+    _, interior = _split_flags(K, 2)
+    raw, i_sum, *levels = sums(
+        _edge_vertex_words(K, rho0, rho1),
+        _mixed_words(interior, rho0, rho1),
+        *_action_words(c, rho1),
+        *_action_words(c, rho0),
+    )
+    agreement = wrap_distance(raw, sums.difference(levels), c.exact)
     threshold = 0 if c.exact else tol
     if agreement > threshold:
         raise TransgressionError(
             f"boundary formula disagrees with the defining difference by {agreement}"
         )
-    full = transition_boundary(c, rho0, rho1)
     return TransitionValue(
         raw=raw,
         angle=wrap(raw, c.exact),
         exact=c.exact,
         route="p2-boundary",
         boundary_sum=raw,
-        interior_sum=full.interior_sum,
-        boundary_flags=count,
-        interior_flags=full.interior_flags,
+        interior_sum=i_sum,
+        boundary_flags=len(K.boundary_facets),
+        interior_flags=len(interior),
         agreement_residual=agreement,
     )
 
@@ -182,22 +166,6 @@ class TripleTransgressionValue:
     display_raw: Scalar
     display_agreement: Scalar
     exact: bool
-
-
-def _surface_mixed_sum(
-    cS: DeligneCochain, rho_a: IndexMap, rho_b: IndexMap
-) -> Scalar:
-    """Mixed-word sum whose chains start at the boundary surface's tops."""
-    p = cS.degree
-    S = cS.base.complex
-    values: List[Scalar] = []
-    for n in range(1, p + 1):
-        depth = p - n
-        if depth > S.dim:
-            continue
-        for flag in S.flags(depth):
-            values.append(flag.sign * _mixed_terms(cS, flag.chain, rho_a, rho_b))
-    return tree_sum(values, cS.exact)
 
 
 def transgress_p3_triple(
@@ -218,29 +186,27 @@ def transgress_p3_triple(
     """
     if c.degree != 3:
         raise TransgressionError("triple transgression needs p = 3")
-    _require_transition_input(c)
+    sums = _FlagSums(c, (rho0, rho1, rho2), "transition", TransgressionError)
     K = c.base.complex
     if not K.boundary_facets:
         raise TransgressionError("triple transgression needs a nonempty boundary")
-    for rho in (rho0, rho1, rho2):
-        check_index_map(c.base, rho)
 
-    t01 = transition_general(c, rho0, rho1).raw
-    t12 = transition_general(c, rho1, rho2).raw
-    t02 = transition_general(c, rho0, rho2).raw
-    telescoped = t01 + t12 - t02
-
-    S_cov = restrict_cover_to_boundary(c.base)
-    cS = restrict_cochain(c, S_cov)
-    r0 = restrict_index_map(S_cov, rho0)
-    r1 = restrict_index_map(S_cov, rho1)
-    r2 = restrict_index_map(S_cov, rho2)
-
-    combo = (
-        _surface_mixed_sum(cS, r0, r1)
-        + _surface_mixed_sum(cS, r1, r2)
-        - _surface_mixed_sum(cS, r0, r2)
+    # Below their tops, K's boundary flags are the boundary surface's own
+    # flags with the same signs, so nothing needs restricting to the surface.
+    boundary, _ = _split_flags(K, 3)
+    values = sums(
+        *_action_words(c, rho0),
+        *_action_words(c, rho1),
+        *_action_words(c, rho2),
+        _mixed_words(boundary, rho0, rho1),
+        _mixed_words(boundary, rho1, rho2),
+        _mixed_words(boundary, rho0, rho2),
+        _display_words(boundary_restrict(K), rho0, rho1, rho2),
     )
+    a0, a1, a2 = (sums.action(values[i:i + 4]).raw for i in (0, 4, 8))
+    s01, s12, s02, display = values[12:]
+    telescoped = sums.finite((a1 - a0) + (a2 - a1) - (a2 - a0))
+    combo = sums.finite(s01 + s12 - s02)
     witness, residual = integer_residual(combo, c.exact)
     threshold = 0 if c.exact else tol
     if residual > threshold:
@@ -248,7 +214,6 @@ def transgress_p3_triple(
             f"surface composition missed 2-pi integrality by {residual}"
         )
 
-    display = _display_word_sum(cS, r0, r1, r2)
     agreement = wrap_distance(display, combo, c.exact)
     if agreement > threshold:
         raise TransgressionError(
@@ -266,23 +231,20 @@ def transgress_p3_triple(
     )
 
 
-def _display_word_sum(
-    cS: DeligneCochain, r0: IndexMap, r1: IndexMap, r2: IndexMap
-) -> Scalar:
+def _display_words(
+    S: SimplicialComplex, r0: IndexMap, r1: IndexMap, r2: IndexMap
+) -> Iterator[Term]:
     """The written-out degree-3 descent words over (face, edge[, vertex]).
 
     Per flag b > e: -C^1(e, (r0(e), r1(e), r2(e))).  Per flag b > e > v:
     -C^0(v, (r0(e), r0(v), r1(v), r2(v))) + C^0(v, (r0(e), r1(e), r1(v), r2(v)))
     - C^0(v, (r0(e), r1(e), r2(e), r2(v))).
     """
-    S = cS.base.complex
-    terms: List[Scalar] = []
     for flag in S.flags(1):
         e = flag.chain[-1]
-        terms.append(-flag.sign * cS.component(1, e, (r0(e), r1(e), r2(e))))
+        yield -flag.sign, 1, e, (r0(e), r1(e), r2(e))
     for flag in S.flags(0):
-        e, v = flag.chain[1], flag.chain[2]
-        terms.append(-flag.sign * cS.component(0, v, (r0(e), r0(v), r1(v), r2(v))))
-        terms.append(flag.sign * cS.component(0, v, (r0(e), r1(e), r1(v), r2(v))))
-        terms.append(-flag.sign * cS.component(0, v, (r0(e), r1(e), r2(e), r2(v))))
-    return tree_sum(terms, cS.exact)
+        _, e, v = flag.chain
+        yield -flag.sign, 0, v, (r0(e), r0(v), r1(v), r2(v))
+        yield flag.sign, 0, v, (r0(e), r1(e), r1(v), r2(v))
+        yield -flag.sign, 0, v, (r0(e), r1(e), r2(e), r2(v))

@@ -10,6 +10,7 @@ import pytest
 
 import deligne
 from deligne import (
+    build_cochain,
     build_complex,
     exact_shift,
     get_geometry,
@@ -507,6 +508,22 @@ def test_non_finite_float_input_exits_1(capsys, tmp_path, literal):
         code, out, err = run(capsys, command, *paths)
         assert code == 1 and out == ""
         assert err.startswith("deligne:") and "Traceback" not in err
+
+
+def test_float_sum_overflow_exits_1(capsys, tmp_path):
+    K = build_complex([(0, 1), (1, 2), (2, 0)])
+    C = star_cover(K)
+    entries = [(1, (0,), (0, 1), 1e308), (1, (1,), (0, 1), -1e308)]
+    c = build_cochain(C, 1, entries, exact=False)
+    paths = [str(tmp_path / f"big.{part}.json") for part in ("complex", "cover", "cochain")]
+    save_complex(K, paths[0])
+    save_cover(C, paths[1])
+    save_cochain(c, paths[2])
+    for command in ("validate", "holonomy"):
+        code, out, err = run(capsys, command, *paths)
+        assert code == 1 and out == ""
+        assert err.startswith("deligne:") and "overflow" in err
+        assert "Traceback" not in err
 
 
 def test_unwritable_report_output_exits_1(capsys, tmp_path):

@@ -1,13 +1,19 @@
 """Transition functions: route agreement, locality, and the triple law."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deligne import (
+    DeligneCochain,
+    HolonomyError,
     TransgressionError,
     exact_shift,
+    get_geometry,
+    holonomy,
+    local_action,
     random_cochain,
     random_index_map,
     restrict_cover_to_boundary,
@@ -18,11 +24,16 @@ from deligne import (
     transition_p2_boundary,
     zero_cochain,
 )
-from deligne.transgression import _display_word_sum
-from deligne.cochain import restrict_cochain
+from deligne.transgression import _display_words
+from deligne.cochain import _word_sums, restrict_cochain
 from deligne.cover import restrict_index_map
 
-from oracles import naive_transition, p2_boundary_words, p3_display_words_direct
+from oracles import (
+    naive_local_levels,
+    naive_transition,
+    p2_boundary_words,
+    p3_display_words_direct,
+)
 
 
 def orbit(C, p, seed, exact=True):
@@ -245,7 +256,7 @@ def test_display_words_match_oracle_on_open_surface(annulus_cover):
     r0 = random_index_map(C, seed=51)
     r1 = random_index_map(C, seed=52)
     r2 = random_index_map(C, seed=53)
-    prod = _display_word_sum(c, r0, r1, r2)
+    (prod,) = _word_sums(c, _display_words(C.complex, r0, r1, r2))
     want = p3_display_words_direct(c, r0, r1, r2)
     assert prod == pytest.approx(want, abs=1e-12)
     assert abs(want) > 1e-3  # the open surface leaves real values behind
@@ -259,7 +270,7 @@ def test_display_words_cancel_on_closed_surface(solid_cover):
     r0 = restrict_index_map(S_cov, random_index_map(C, seed=54))
     r1 = restrict_index_map(S_cov, random_index_map(C, seed=55))
     r2 = restrict_index_map(S_cov, random_index_map(C, seed=56))
-    assert _display_word_sum(cS, r0, r1, r2) == 0
+    assert _word_sums(cS, _display_words(S_cov.complex, r0, r1, r2)) == [0]
 
 
 @settings(max_examples=8, deadline=None)
@@ -270,3 +281,54 @@ def test_route_agreement_property(annulus_cover, seed):
     r0 = random_index_map(C, seed=seed + 1)
     r1 = random_index_map(C, seed=seed + 2)
     assert transition_general(c, r0, r1).raw == transition_boundary(c, r0, r1).raw
+
+
+# -- every flag sum against the oracles, and on non-finite data -------------------
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+@pytest.mark.parametrize("name", ["annulus", "solid-torus"])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_flag_sums_match_oracles(name, exact, seed):
+    C = star_cover(get_geometry(name).covered.complex)
+    p = C.complex.dim
+    r0 = random_index_map(C, seed=seed + 1)
+    r1 = random_index_map(C, seed=seed + 2)
+    tol = 0 if exact else 1e-12
+
+    raw = random_cochain(C, p, seed, exact=exact)
+    raw.cocycle = True  # arbitrary data: the local action is defined regardless
+    got = [level.value for level in local_action(raw, r0).levels]
+    want = naive_local_levels(raw, r0)
+    assert len(got) == len(want) == p + 1
+    assert all(abs(g - w) <= tol for g, w in zip(got, want))
+
+    c = orbit(C, p, seed, exact=exact)
+    want = naive_transition(c, r0, r1)
+    for route in (transition_general, transition_boundary):
+        value = route(c, r0, r1).raw
+        assert type(value) is (Fraction if exact else float)
+        assert abs(value - want) <= tol
+
+
+@pytest.mark.parametrize("name", ["annulus", "solid-torus", "torus2-4chart"])
+def test_non_finite_data_raises_in_every_flag_sum(name):
+    C = star_cover(get_geometry(name).covered.complex)
+    p = C.complex.dim
+    entries = orbit(C, p, seed=23, exact=False).entries()
+    c = DeligneCochain(C, p, {(k, s, J): math.nan for k, s, J, _ in entries}, False, True)
+    maps = [random_index_map(C, seed=s) for s in (61, 62, 63)]
+    if C.complex.closed:
+        calls = [(HolonomyError, holonomy, 1)]
+    else:
+        special = transition_p2_boundary if p == 2 else transgress_p3_triple
+        calls = [
+            (HolonomyError, local_action, 1),
+            (TransgressionError, transition_general, 2),
+            (TransgressionError, transition_boundary, 2),
+            (TransgressionError, special, p),
+        ]
+    for error, entry_point, n_maps in calls:
+        with pytest.raises(error, match="not finite"):
+            entry_point(c, *maps[:n_maps])
