@@ -94,7 +94,3 @@ def tree_sum(values: Iterable[Scalar], exact: bool) -> Scalar:
     except (OverflowError, ValueError) as e:
         raise CochainError(f"float sum failed: {e}") from None
 
-
-def to_radians(x: Scalar, exact: bool) -> float:
-    """Numeric view of an angle in radians, for reports only."""
-    return float(x) * TWO_PI if exact else float(x)

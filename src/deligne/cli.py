@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .cochain import glue_cochains, exact_shift, validate_cocycle
 from .cover import default_index_map, random_index_map
-from .errors import DeligneError, HolonomyError, TransgressionError
+from .errors import DeligneError, HolonomyError, ToleranceError
 from .geometry import (
     ChartedGeometry,
     get_geometry,
@@ -401,6 +401,8 @@ def _cmd_holonomy(args) -> Tuple[int, dict]:
 
 def _cmd_transgress(args) -> Tuple[int, dict]:
     _, C, c = _load_triple(args)
+    if args.boundary_formula and c.degree != 2:
+        raise _UsageError(f"--boundary-formula needs a degree-2 cochain, got {c.degree}")
     validation = _validated(c, args)
     rho0 = _resolve_index_map(args.rho0, C, args, stream=0)
     rho1 = _resolve_index_map(args.rho1, C, args, stream=1)
@@ -409,7 +411,7 @@ def _cmd_transgress(args) -> Tuple[int, dict]:
         rho2 = _resolve_index_map(args.rho2, C, args, stream=2)
         try:
             triple = transgress_p3_triple(c, rho0, rho1, rho2, tol=args.tolerance)
-        except TransgressionError as e:
+        except ToleranceError as e:
             raise _ToleranceFailure(dict(result, error=str(e))) from None
         result["triple"] = {
             "display_agreement": scalar_to_json(triple.display_agreement),
@@ -428,10 +430,10 @@ def _cmd_transgress(args) -> Tuple[int, dict]:
     result["general"] = _transition_dict(general)
     result["boundary"] = _transition_dict(boundary)
     result["agreement_residual"] = scalar_to_json(residual)
-    if args.boundary_formula and c.degree == 2:
+    if args.boundary_formula:
         try:
             special = transition_p2_boundary(c, rho0, rho1, tol=args.tolerance)
-        except TransgressionError as e:
+        except ToleranceError as e:
             raise _ToleranceFailure(dict(result, error=str(e))) from None
         result["boundary_formula"] = _transition_dict(special)
     if _breach(residual, args.tolerance, c.exact):

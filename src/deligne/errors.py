@@ -25,5 +25,10 @@ class TransgressionError(DeligneError):
     """Transgression precondition or internal consistency failure."""
 
 
+class ToleranceError(TransgressionError):
+    """Two routes of one transgression, or a sum and its integer, disagree
+    by more than the tolerance; the input itself was acceptable."""
+
+
 class AnalyticError(DeligneError):
     """Bad fixture request, unsupported cup operands or geometry mismatch."""

@@ -1,10 +1,20 @@
 """Canonical JSON artifacts: complexes, covers, index maps, cochains.
 
-Serialization is deterministic: object keys sorted, floats printed as their
-shortest round-tripping digits, LF newlines, compact separators.  Simplices below the
-tops are never serialized; a cochain entry references its simplex as
-``[dim, index]`` into the lexicographically sorted simplex list of that
-dimension, so files only make sense next to their complex file.
+One encoding rule writes every artifact and every CLI report:
+:func:`dumps_canonical` normalises the document (string keys only,
+``Fraction`` to ``"n/d"``, tuples to lists, ``-0.0`` to ``0.0``; a
+non-finite float or an unknown type is a :class:`SchemaError`) and hands it
+to the stdlib encoder with sorted keys, compact separators, UTF-8 text and
+no NaN, plus one LF.  Floats come out as their shortest round-tripping
+digits.
+
+Simplices below the tops are never serialized.  A file names a simplex by
+its index into ``K.simplices(dim)``, the lexicographically sorted simplex
+list of that dimension, so files only make sense next to their complex
+file.  Three spellings exist, one per artifact, and :func:`resolve_ref`
+reads them all: the cover's ``admissible_top`` key ``"i"`` (a top), the
+index map's key ``"dim/i"`` and the cochain entry's ``[dim, i]``.  Only the
+writer's spelling is read back, so no two keys can name one simplex.
 
 Rational values travel as ``"n/d"`` strings under ``"arithmetic":
 "rational"``; float files say ``"arithmetic": "float"``.
@@ -14,8 +24,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
 from ._scalars import Scalar
 from .cochain import DeligneCochain, build_cochain
@@ -29,15 +40,6 @@ class SchemaError(DeligneError):
 
 
 # -- canonical serialization -----------------------------------------------------
-
-
-def format_float(x: float) -> str:
-    # repr of a float is the shortest digit string that round-trips.
-    if math.isnan(x) or math.isinf(x):
-        raise SchemaError("non-finite value cannot be serialized")
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return repr(x)
 
 
 def scalar_to_json(x: Scalar):
@@ -59,45 +61,30 @@ def scalar_from_json(v, exact: bool) -> Scalar:
     return x
 
 
+def _plain(o):
+    """``o`` as the JSON types the stdlib encoder writes canonically."""
+    if isinstance(o, dict):
+        if not all(isinstance(k, str) for k in o):
+            raise SchemaError("object keys must be strings")
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(x) for x in o]
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise SchemaError("non-finite value cannot be serialized")
+        return 0.0 if o == 0.0 else o
+    if isinstance(o, Fraction):
+        return f"{o.numerator}/{o.denominator}"
+    if o is None or isinstance(o, (str, int)):
+        return o
+    raise SchemaError(f"cannot serialize {type(o).__name__}")
+
+
 def dumps_canonical(obj) -> str:
-    out: List[str] = []
-
-    def emit(o):
-        if o is None or o is True or o is False:
-            out.append("null" if o is None else "true" if o else "false")
-        elif isinstance(o, str):
-            out.append(json.dumps(o, ensure_ascii=False))
-        elif isinstance(o, int):
-            out.append(str(o))
-        elif isinstance(o, float):
-            out.append(format_float(o))
-        elif isinstance(o, Fraction):
-            emit(f"{o.numerator}/{o.denominator}")
-        elif isinstance(o, (list, tuple)):
-            out.append("[")
-            for i, x in enumerate(o):
-                if i:
-                    out.append(",")
-                emit(x)
-            out.append("]")
-        elif isinstance(o, dict):
-            out.append("{")
-            keys = list(o.keys())
-            if any(not isinstance(k, str) for k in keys):
-                raise SchemaError("object keys must be strings")
-            for i, k in enumerate(sorted(keys)):
-                if i:
-                    out.append(",")
-                out.append(json.dumps(k, ensure_ascii=False))
-                out.append(":")
-                emit(o[k])
-            out.append("}")
-        else:
-            raise SchemaError(f"cannot serialize {type(o).__name__}")
-
-    emit(obj)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(
+        _plain(obj), sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+        allow_nan=False,
+    ) + "\n"
 
 
 def write_canonical(path: str, obj) -> None:
@@ -121,10 +108,6 @@ def read_json(path: str):
 # -- simplex references -----------------------------------------------------------
 
 
-def sorted_tops(K: SimplicialComplex) -> List[Simplex]:
-    return sorted(K.tops)
-
-
 def oriented_tuple(K: SimplicialComplex, s: Simplex) -> Tuple[int, ...]:
     if K.orientation(s) == 1 or len(s) < 2:
         return s
@@ -133,30 +116,36 @@ def oriented_tuple(K: SimplicialComplex, s: Simplex) -> Tuple[int, ...]:
     return tuple(t)
 
 
-def simplex_table(K: SimplicialComplex, dim: int) -> List[Simplex]:
-    return list(K.simplices(dim))
+# How each artifact names a simplex: its message label and the written form.
+_SPELLINGS = {
+    "entry": ("simplex reference", "[dim, index]"),
+    "index-map": ("index-map key", "dim/index"),
+    "cover": ("admissible_top key", "an index"),
+}
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
-def simplex_ref(K: SimplicialComplex, s: Simplex) -> List[int]:
-    dim = len(s) - 1
-    table = simplex_table(K, dim)
-    try:
-        return [dim, table.index(s)]
-    except ValueError:
-        raise SchemaError(f"simplex {s} is not in the complex") from None
-
-
-def resolve_ref(K: SimplicialComplex, ref) -> Simplex:
-    if (
-        not isinstance(ref, (list, tuple))
-        or len(ref) != 2
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in ref)
-    ):
-        raise SchemaError(f"bad simplex reference {ref!r}")
-    dim, idx = ref
+def resolve_ref(K: SimplicialComplex, ref, spelling: str = "entry") -> Simplex:
+    """The simplex ``K.simplices(dim)[i]`` that a reference names: ``[dim, i]``
+    for a cochain ``"entry"``, ``"dim/i"`` for an ``"index-map"`` key, ``"i"``
+    of a top for a ``"cover"`` key.  Keys must be canonical decimals (no sign,
+    no leading zero, ASCII digits), so distinct keys name distinct simplices.
+    """
+    label, form = _SPELLINGS[spelling]
+    if spelling == "entry":
+        ints = isinstance(ref, (list, tuple)) and all(
+            isinstance(x, int) and not isinstance(x, bool) for x in ref
+        )
+        parts = list(ref) if ints else []
+    else:
+        tokens = (ref if spelling == "index-map" else f"{K.dim}/{ref}").split("/")
+        parts = [int(t) for t in tokens] if all(map(_DECIMAL.fullmatch, tokens)) else []
+    if len(parts) != 2:
+        raise SchemaError(f"{label} {ref!r} is not {form}")
+    dim, idx = parts
     table = K.simplices(dim)
     if not 0 <= idx < len(table):
-        raise SchemaError(f"simplex reference {ref!r} out of range")
+        raise SchemaError(f"{label} {ref!r} out of range")
     return table[idx]
 
 
@@ -171,7 +160,7 @@ def complex_to_json(K: SimplicialComplex) -> dict:
         flags.append("closed")
     return {
         "dim": K.dim,
-        "top_simplices": [list(oriented_tuple(K, t)) for t in sorted_tops(K)],
+        "top_simplices": [list(oriented_tuple(K, t)) for t in K.tops],
         "flags": flags,
     }
 
@@ -200,11 +189,10 @@ def load_complex(path: str) -> SimplicialComplex:
 
 
 def cover_to_json(C: CoveredComplex) -> dict:
-    tops = sorted_tops(C.complex)
     return {
         "num_sets": C.num_sets,
         "admissible_top": {
-            str(i): sorted(C.admissible_of(t)) for i, t in enumerate(tops)
+            str(i): sorted(C.admissible_of(t)) for i, t in enumerate(C.complex.tops)
         },
     }
 
@@ -212,19 +200,10 @@ def cover_to_json(C: CoveredComplex) -> dict:
 def cover_from_json(doc, K: SimplicialComplex) -> CoveredComplex:
     if not isinstance(doc, dict) or "num_sets" not in doc or "admissible_top" not in doc:
         raise SchemaError("cover file needs num_sets and admissible_top")
-    tops = sorted_tops(K)
     table = doc["admissible_top"]
     if not isinstance(table, dict):
         raise SchemaError("admissible_top must be an object")
-    mapping = {}
-    for key, charts in table.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise SchemaError(f"admissible_top key {key!r} is not an index") from None
-        if not 0 <= i < len(tops):
-            raise SchemaError(f"admissible_top index {i} out of range")
-        mapping[tops[i]] = tuple(charts)
+    mapping = {resolve_ref(K, key, "cover"): tuple(charts) for key, charts in table.items()}
     return attach_cover(K, doc["num_sets"], mapping)
 
 
@@ -243,7 +222,7 @@ def index_map_to_json(rho: IndexMap, C: CoveredComplex) -> dict:
     K = C.complex
     out = {}
     for dim in range(K.dim + 1):
-        for i, s in enumerate(simplex_table(K, dim)):
+        for i, s in enumerate(K.simplices(dim)):
             out[f"{dim}/{i}"] = rho(s)
     return out
 
@@ -251,20 +230,9 @@ def index_map_to_json(rho: IndexMap, C: CoveredComplex) -> dict:
 def index_map_from_json(doc, C: CoveredComplex) -> IndexMap:
     if not isinstance(doc, dict):
         raise SchemaError("index-map file must be an object")
-    K = C.complex
-    assignment = {}
-    for key, chart in doc.items():
-        parts = key.split("/")
-        if len(parts) != 2:
-            raise SchemaError(f"index-map key {key!r} is not dim/index")
-        try:
-            dim, idx = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise SchemaError(f"index-map key {key!r} is not dim/index") from None
-        table = K.simplices(dim)
-        if not 0 <= idx < len(table):
-            raise SchemaError(f"index-map key {key!r} out of range")
-        assignment[table[idx]] = chart
+    assignment = {
+        resolve_ref(C.complex, key, "index-map"): chart for key, chart in doc.items()
+    }
     return make_index_map(C, assignment)
 
 
@@ -281,21 +249,18 @@ def load_index_map(path: str, C: CoveredComplex) -> IndexMap:
 
 def cochain_to_json(c: DeligneCochain) -> dict:
     K = c.base.complex
-    tables = {k: simplex_table(K, k) for k in range(K.dim + 1)}
     index_of = {
-        k: {s: i for i, s in enumerate(table)} for k, table in tables.items()
+        k: {s: i for i, s in enumerate(K.simplices(k))} for k in range(K.dim + 1)
     }
-    entries = []
-    for k, s, J, v in c.entries():
-        entries.append(
-            {
-                "k": k,
-                "simplex": [k, index_of[k][s]],
-                "indices": list(J),
-                "value": scalar_to_json(v),
-            }
-        )
-    entries.sort(key=lambda e: (e["k"], e["simplex"][1], e["indices"]))
+    entries = [
+        {
+            "k": k,
+            "simplex": [k, index_of[k][s]],
+            "indices": list(J),
+            "value": scalar_to_json(v),
+        }
+        for k, s, J, v in c.entries()
+    ]
     return {
         "arithmetic": "rational" if c.exact else "float",
         "degree": c.degree,

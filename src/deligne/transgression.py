@@ -25,7 +25,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from ._scalars import Scalar, integer_residual, wrap, wrap_distance
 from .cochain import DeligneCochain, Term
 from .cover import IndexMap
-from .errors import TransgressionError
+from .errors import ToleranceError, TransgressionError
 from .holonomy import _action_words, _FlagSums
 from .simplicial import Flag, SimplicialComplex, boundary_restrict, facets_of
 
@@ -140,7 +140,7 @@ def transition_p2_boundary(
     agreement = wrap_distance(raw, sums.difference(levels), c.exact)
     threshold = 0 if c.exact else tol
     if agreement > threshold:
-        raise TransgressionError(
+        raise ToleranceError(
             f"boundary formula disagrees with the defining difference by {agreement}"
         )
     return TransitionValue(
@@ -210,13 +210,13 @@ def transgress_p3_triple(
     witness, residual = integer_residual(combo, c.exact)
     threshold = 0 if c.exact else tol
     if residual > threshold:
-        raise TransgressionError(
+        raise ToleranceError(
             f"surface composition missed 2-pi integrality by {residual}"
         )
 
     agreement = wrap_distance(display, combo, c.exact)
     if agreement > threshold:
-        raise TransgressionError(
+        raise ToleranceError(
             f"edge/vertex word sum disagrees with the composition by {agreement}"
         )
     return TripleTransgressionValue(

@@ -12,12 +12,16 @@ import deligne
 from deligne import (
     build_cochain,
     build_complex,
+    default_index_map,
     exact_shift,
     get_geometry,
+    load_complex,
+    load_cover,
     random_cochain,
     save_cochain,
     save_complex,
     save_cover,
+    save_index_map,
     star_cover,
     zero_cochain,
 )
@@ -324,7 +328,7 @@ def test_triple_transgression_needs_boundary(capsys, tmp_path):
     save_complex(K, paths[0])
     save_cover(C, paths[1])
     save_cochain(zero_cochain(C, 3, exact=True), paths[2])
-    code, doc, _ = run_json(
+    code, doc, err = run_json(
         capsys,
         "transgress",
         *paths,
@@ -335,8 +339,26 @@ def test_triple_transgression_needs_boundary(capsys, tmp_path):
         "--seed",
         "2",
     )
-    assert code == 2
-    assert "boundary" in doc["error"]
+    assert code == 1 and doc is None
+    assert err.startswith("deligne:") and "nonempty boundary" in err
+
+
+def test_triple_transgression_refuses_degree_2_as_bad_input(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "annulus", 2, seed=6, stem="ann")
+    code, out, err = run(
+        capsys, "transgress", *paths, "--rho1", "random", "--rho2", "random", "--seed", "3"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "p = 3" in err
+
+
+def test_boundary_formula_refuses_degree_3(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "solid-torus", 3, seed=8, stem="st")
+    code, out, err = run(
+        capsys, "transgress", *paths, "--rho1", "random", "--seed", "5", "--boundary-formula"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "--boundary-formula" in err
 
 
 # -- cup products ----------------------------------------------------------------------
@@ -524,6 +546,29 @@ def test_float_sum_overflow_exits_1(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("deligne:") and "overflow" in err
         assert "Traceback" not in err
+
+
+def test_aliased_cover_key_exits_1(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="alias")
+    doc = read_json(paths[1])
+    doc["admissible_top"]["+0"] = doc["admissible_top"]["1"]
+    write_canonical(paths[1], doc)
+    code, out, err = run(capsys, "validate", *paths)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "'+0'" in err
+
+
+def test_aliased_index_map_key_exits_1(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="alias")
+    C = load_cover(paths[1], load_complex(paths[0]))
+    rho_path = str(tmp_path / "rho.json")
+    save_index_map(default_index_map(C), C, rho_path)
+    doc = read_json(rho_path)
+    doc["00/0"] = doc["0/0"]
+    write_canonical(rho_path, doc)
+    code, out, err = run(capsys, "holonomy", *paths, "--index-map", rho_path)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "'00/0'" in err
 
 
 def test_unwritable_report_output_exits_1(capsys, tmp_path):

@@ -1,8 +1,11 @@
-"""Source hygiene: every name a deligne module imports is used there.
+"""Source hygiene: no unused imports and no dead definitions in deligne.
 
-``__init__.py`` is exempt because its imports are the package's exports.
-The scan is syntactic (``ast``): a name counts as used when it appears as
-an identifier anywhere in the module, annotations included.
+Every name a module imports is used there; ``__init__.py`` is exempt
+because its imports are the package's exports.  Every module-level
+function or class is either exported through ``deligne.__all__`` or named
+by some other statement in the package.  Both scans are syntactic
+(``ast``): a name counts as used when it appears as an identifier or an
+attribute anywhere, annotations included.
 """
 
 import ast
@@ -12,9 +15,8 @@ import pytest
 
 import deligne
 
-MODULES = sorted(
-    p for p in Path(deligne.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(deligne.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -46,3 +48,49 @@ def test_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources, exported):
+    """(module, name) of each module-level def or class in ``sources``
+    (module name to source text) that ``exported`` does not list and that
+    no statement other than its own definition names."""
+    mentions = {}
+    definitions = []
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            where = (module, i)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    mentions.setdefault(node.id, set()).add(where)
+                elif isinstance(node, ast.Attribute):
+                    mentions.setdefault(node.attr, set()).add(where)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((module, stmt.name, where))
+    return sorted(
+        (module, name)
+        for module, name, own in definitions
+        if name not in exported and not mentions.get(name, set()) - {own}
+    )
+
+
+def test_dead_scan_sees_unreferenced_definitions():
+    sources = {
+        "a.py": (
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Hint: pass\n"
+            "def _helper(): pass\n"
+            "def _dead(): pass\n"
+            "class _Dead: pass\n"
+            "TABLE = {'h': _helper}\n"
+        ),
+        "b.py": "from .a import used\nimport a\ndef caller(x: a.Hint): return used()\n",
+    }
+    assert dead_definitions(sources, {"caller"}) == [
+        ("a.py", "_Dead"), ("a.py", "_dead"), ("a.py", "recursive")
+    ]
+
+
+def test_package_has_no_dead_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert dead_definitions(sources, set(deligne.__all__)) == []

@@ -1,13 +1,15 @@
 """Canonical JSON artifacts: determinism, round-trips, schema rejection."""
 
-import math
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from deligne import (
     SchemaError,
     build_complex,
+    default_index_map,
     dumps_canonical,
     load_cochain,
     load_complex,
@@ -28,7 +30,6 @@ from deligne.io import (
     complex_to_json,
     cover_from_json,
     cover_to_json,
-    format_float,
     index_map_from_json,
     index_map_to_json,
     oriented_tuple,
@@ -36,8 +37,6 @@ from deligne.io import (
     resolve_ref,
     scalar_from_json,
     scalar_to_json,
-    simplex_ref,
-    simplex_table,
     write_canonical,
 )
 
@@ -53,18 +52,30 @@ TET_SPHERE = build_complex([(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)])
 
 
 def test_format_float_shortest_round_trip():
-    for x in [0.1, 1.0 / 3.0, 1e-9, 2.5, -7.25, 1e300]:
-        assert float(format_float(x)) == x
+    for x, digits in [
+        (0.1, "0.1"),
+        (1.0 / 3.0, "0.3333333333333333"),
+        (2.5, "2.5"),
+        (-7.25, "-7.25"),
+        (1e300, "1e+300"),
+        (5e-324, "5e-324"),
+        (1e16, "1e+16"),
+        (1e-07, "1e-07"),
+    ]:
+        s = dumps_canonical([x])
+        assert s == f"[{digits}]\n"
+        assert json.loads(s)[0] == x
 
 
 def test_format_float_normalizes_negative_zero():
-    assert format_float(-0.0) == "0.0"
+    doc = {"a": {"b": -0.0}, "c": [-0.0]}
+    assert dumps_canonical(doc) == '{"a":{"b":0.0},"c":[0.0]}\n'
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_format_float_rejects_non_finite(bad):
     with pytest.raises(SchemaError):
-        format_float(bad)
+        dumps_canonical({"x": {"y": bad}})
 
 
 def test_scalar_to_json_fraction_is_string():
@@ -139,6 +150,36 @@ def test_dumps_deterministic():
     assert dumps_canonical(doc) == dumps_canonical(doc)
 
 
+def test_dumps_string_golden_bytes():
+    # Non-ASCII text stays raw UTF-8 (U+2028 included); control characters,
+    # quotes and backslashes are escaped; DEL and "/" are not.
+    doc = {"cup": "\u222a", "\u00e9": "\u2028", "ctl": "\x00\x1f\t\n\r\x7f", "q": '"\\/'}
+    assert dumps_canonical(doc).encode("utf-8") == (
+        b'{"ctl":"\\u0000\\u001f\\t\\n\\r\x7f","cup":"\xe2\x88\xaa",'
+        b'"q":"\\"\\\\/","\xc3\xa9":"\xe2\x80\xa8"}\n'
+    )
+
+
+json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.fractions()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_docs)
+def test_dumps_is_a_fixed_point_of_its_own_output(doc):
+    s = dumps_canonical(doc)
+    assert dumps_canonical(json.loads(s)) == s
+
+
 def test_read_json_rejects_invalid_file(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
@@ -167,15 +208,23 @@ def test_oriented_tuple_swaps_last_two_for_negative_orientation():
 
 def test_simplex_ref_round_trip():
     for dim in range(TWO_TRIS.dim + 1):
-        for s in simplex_table(TWO_TRIS, dim):
-            ref = simplex_ref(TWO_TRIS, s)
-            assert ref[0] == dim
-            assert resolve_ref(TWO_TRIS, ref) == s
+        for i, s in enumerate(TWO_TRIS.simplices(dim)):
+            assert resolve_ref(TWO_TRIS, [dim, i]) == s
+            assert resolve_ref(TWO_TRIS, f"{dim}/{i}", "index-map") == s
+            if dim == TWO_TRIS.dim:
+                assert resolve_ref(TWO_TRIS, str(i), "cover") == s
 
 
 def test_simplex_ref_rejects_foreign_simplex():
-    with pytest.raises(SchemaError):
-        simplex_ref(TWO_TRIS, (0, 7))
+    for ref, spelling in [
+        ([2, 2], "entry"),
+        ([3, 0], "entry"),
+        ("1/5", "index-map"),
+        ("3/0", "index-map"),
+        ("2", "cover"),
+    ]:
+        with pytest.raises(SchemaError, match="out of range"):
+            resolve_ref(TWO_TRIS, ref, spelling)
 
 
 @pytest.mark.parametrize(
@@ -259,6 +308,14 @@ def test_cover_from_json_rejects_out_of_range_top():
         cover_from_json(doc, TWO_TRIS)
 
 
+@pytest.mark.parametrize("alias", ["+0", "00", " 0", "0_0", "\u0660"])
+def test_cover_from_json_rejects_aliased_top_key(alias):
+    doc = cover_to_json(COVER)
+    doc["admissible_top"][alias] = doc["admissible_top"]["1"]
+    with pytest.raises(SchemaError):
+        cover_from_json(doc, TWO_TRIS)
+
+
 def test_cover_from_json_rejects_non_object_table():
     with pytest.raises(SchemaError):
         cover_from_json({"num_sets": 4, "admissible_top": [[0]]}, TWO_TRIS)
@@ -286,6 +343,14 @@ def test_index_map_json_covers_every_dimension():
 def test_index_map_from_json_rejects_bad_keys(key):
     with pytest.raises(SchemaError):
         index_map_from_json({key: 0}, COVER)
+
+
+@pytest.mark.parametrize("alias", ["00/0", "0/+0", "0/ 0", "-0/0"])
+def test_index_map_from_json_rejects_aliased_key(alias):
+    doc = index_map_to_json(default_index_map(COVER), COVER)
+    doc[alias] = doc["0/0"]
+    with pytest.raises(SchemaError):
+        index_map_from_json(doc, COVER)
 
 
 def test_index_map_from_json_rejects_non_object():

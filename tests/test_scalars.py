@@ -12,7 +12,6 @@ from deligne._scalars import (
     full_turn,
     integer_residual,
     nearest_integer,
-    to_radians,
     tree_sum,
     wrap,
     wrap_distance,
@@ -146,8 +145,3 @@ def test_tree_sum_float_order_independent():
 @given(st.lists(rationals, max_size=30))
 def test_tree_sum_exact_is_plain_sum(vals):
     assert tree_sum(vals, True) == sum(vals, Fraction(0))
-
-
-def test_to_radians():
-    assert to_radians(Fraction(1, 2), True) == pytest.approx(math.pi)
-    assert to_radians(1.5, False) == 1.5
