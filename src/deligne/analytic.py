@@ -22,6 +22,18 @@ is not a rational number of turns).  Cup products divide each product of
 two angle factors by one full turn (:func:`turn_normalized_product`), so
 products of rational classes keep one net angle factor and discretize
 exactly.
+
+Cup products follow one rule, the Deligne–Beilinson product.  A
+presentation of degree p enters it through two fields: ``integer_of``, its
+integer Čech cocycle n = (-1)^p δC^0 in turns (a function of p + 2 chart
+indices), and ``curv_of``, its curvature (p+1)-form R.  For x of degree p
+and y of degree q the product has degree p + q + 1 and levels
+
+    (x∪y)^k(s, J)       = n_x(s, J[:p+2]) · y^k(s, J[p+1:])   for k = 0..q,
+    (x∪y)^(q+1+j)(s, J) = x^j(s, J) ⋆ R_y(s)                   for j = 0..p,
+
+where ⋆ is :func:`turn_normalized_product`; its own fields are
+n_x(s, J[:p+2]) · n_y(s, J[p+1:]) and R_x ⋆ R_y.
 """
 
 from __future__ import annotations
@@ -227,6 +239,8 @@ def integrate_form(
 # -- presentations ----------------------------------------------------------------
 
 ComponentRule = Callable[[ChartedGeometry, Tuple[int, ...], Simplex], FormExpr]
+IntegerRule = Callable[[ChartedGeometry, Simplex, Tuple[int, ...]], int]
+CurvatureRule = Callable[[ChartedGeometry, Simplex], FormExpr]
 
 
 @dataclass
@@ -234,9 +248,11 @@ class AnalyticClassPresentation:
     """Chart data of a class of the given degree over a built-in geometry.
 
     ``components[k]`` produces the level-k integrand for a multi-index and
-    simplex; the optional structure callables expose what cup products
-    consume (chart-jump integers, transition logs, connection and
-    curvature forms).
+    simplex.  The two optional fields are what :func:`cup_product` reads:
+    ``integer_of(geom, s, J)``, with ``len(J) == degree + 2``, is the
+    integer Čech cocycle (-1)^degree · δC^0(s, J) in turns, and
+    ``curv_of(geom, s)`` is the curvature (degree+1)-form.  ``params``
+    holds plain data only.
     """
 
     label: str
@@ -246,11 +262,8 @@ class AnalyticClassPresentation:
     rational: bool
     params: Dict[str, object] = field(default_factory=dict)
     kind: str = "generic"
-    jump_of: Optional[Callable[[ChartedGeometry, Simplex, int, int], int]] = None
-    dd_of: Optional[Callable[[ChartedGeometry, Simplex, int, int, int], int]] = None
-    tlog_of: Optional[Callable[[ChartedGeometry, Simplex, int, int], FormExpr]] = None
-    conn_of: Optional[Callable[[ChartedGeometry, Simplex, int], FormExpr]] = None
-    curv_of: Optional[Callable[[ChartedGeometry, Simplex], FormExpr]] = None
+    integer_of: Optional[IntegerRule] = None
+    curv_of: Optional[CurvatureRule] = None
 
     def curvature_form(self, geom: Optional[ChartedGeometry] = None) -> FormExpr:
         if self.curv_of is None:
@@ -348,33 +361,21 @@ def winding_function(
     w = int(w)
     c = coerce(offset, exact)
     rational = exact or offset == 0
-
-    def log_branch(chart: int) -> FormExpr:
-        terms: List[FormTerm] = []
-        if rational:
-            if c != 0:
-                terms.append(FormTerm(coerce(c, True), angle_power=1))
-            if w != 0:
-                terms.append(FormTerm(Fraction(w), linear=(coord, chart)))
-        else:
-            if c != 0:
-                terms.append(FormTerm(float(c) * TWO_PI))
-            if w != 0:
-                terms.append(FormTerm(Fraction(w), linear=(coord, chart)))
-        return tuple(terms)
+    if c == 0:
+        const: FormExpr = ZERO_EXPR
+    elif rational:
+        const = (FormTerm(c, angle_power=1),)
+    else:
+        const = (FormTerm(float(c) * TWO_PI),)
 
     def comp0(g: ChartedGeometry, J, s) -> FormExpr:
-        return log_branch(J[0])
-
-    def jump_of(g: ChartedGeometry, s: Simplex, a: int, b: int) -> int:
-        return w * g.jump(s, coord, a, b)
-
-    def dlog(g, s, chart) -> FormExpr:
+        # The log branch on chart J[0].
         if w == 0:
-            return ZERO_EXPR
-        return (FormTerm(Fraction(w), wedge=(coord,)),)
+            return const
+        return const + (FormTerm(Fraction(w), linear=(coord, J[0])),)
 
-    pres = AnalyticClassPresentation(
+    curv = (FormTerm(Fraction(w), wedge=(coord,)),) if w else ZERO_EXPR
+    return AnalyticClassPresentation(
         label=f"winding(w={w},coord={coord})",
         degree=0,
         geometry=geom,
@@ -382,11 +383,9 @@ def winding_function(
         rational=rational,
         params={"w": w, "coord": coord, "offset": c},
         kind="function",
-        jump_of=jump_of,
+        integer_of=lambda g, s, J: w * g.jump(s, coord, *J),
+        curv_of=lambda g, s: curv,
     )
-    pres.params["log_branch"] = log_branch
-    pres.params["dlog"] = dlog
-    return pres
 
 
 def flat_circle(
@@ -421,8 +420,10 @@ def flat_circle(
             return ZERO_EXPR
         return _const_term(th, rational)
 
-    # The seam log is a per-vertex indicator, not an affine expression, so
-    # this fixture exposes no transition-log callable for cup products.
+    # The seam log is a per-vertex indicator, not an affine expression in
+    # the lifts, so (-1)^p δC^0 has no chart-wise integer rule here: the
+    # class sets no integer_of, and cup products refuse it in either
+    # position.
     return AnalyticClassPresentation(
         label=f"flat_circle(theta={theta})",
         degree=1,
@@ -431,8 +432,6 @@ def flat_circle(
         rational=rational,
         params={"theta": th},
         kind="line",
-        dd_of=lambda g, s, a, b, c: 0,
-        conn_of=lambda g, s, a: ZERO_EXPR,
         curv_of=lambda g, s: ZERO_EXPR,
     )
 
@@ -511,10 +510,8 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
             FormTerm(-half, linear=(1, a), wedge=(0,)),
         )
 
-    def tlog_of(g: ChartedGeometry, s: Simplex, a: int, b: int) -> FormExpr:
-        return comp0(g, (a, b), s)
-
-    def dd_of(g: ChartedGeometry, s: Simplex, a: int, b: int, c: int) -> int:
+    def integer_of(g: ChartedGeometry, s: Simplex, J) -> int:
+        a, b, c = J
         v = (s[0],)
         t_bc = evaluate_scalar(comp0(g, (b, c), v), g, v, True)
         t_ac = evaluate_scalar(comp0(g, (a, c), v), g, v, True)
@@ -532,9 +529,7 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
         rational=True,
         params={"k": k},
         kind="line",
-        dd_of=dd_of,
-        tlog_of=tlog_of,
-        conn_of=lambda g, s, a: comp1(g, (a,), s),
+        integer_of=integer_of,
         curv_of=lambda g, s: (FormTerm(half, wedge=(0, 1)),) if k else ZERO_EXPR,
     )
 
@@ -590,13 +585,7 @@ def zero_class(geom: ChartedGeometry, degree: int) -> AnalyticClassPresentation:
 
 # -- cup products -------------------------------------------------------------------
 
-
-def _require_same_geometry(a: AnalyticClassPresentation, b: AnalyticClassPresentation):
-    if a.geometry is not b.geometry:
-        raise AnalyticError(
-            f"cup operands live on different chart systems "
-            f"({a.geometry.name} vs {b.geometry.name})"
-        )
+_KIND_OF_DEGREE = {1: "line", 2: "gerbe", 3: "two-gerbe"}
 
 
 def _need(pres: AnalyticClassPresentation, attr: str) -> None:
@@ -606,180 +595,55 @@ def _need(pres: AnalyticClassPresentation, attr: str) -> None:
         )
 
 
-def _cup_function_function(
-    f: AnalyticClassPresentation, g: AnalyticClassPresentation
+def cup_product(
+    x: AnalyticClassPresentation, y: AnalyticClassPresentation
 ) -> AnalyticClassPresentation:
-    f_jump = f.jump_of
-    g_log = g.params["log_branch"]
-    f_log = f.params["log_branch"]
-    g_dlog = g.params["dlog"]
-    f_dlog = f.params["dlog"]
+    """Deligne–Beilinson cup product; degree adds as p + q + 1.
 
-    def comp0(gm: ChartedGeometry, J, s) -> FormExpr:
-        n = f_jump(gm, s, J[0], J[1])
-        if n == 0:
-            return ZERO_EXPR
-        return expr_scale(g_log(J[1]), n)
+    Levels 0..q multiply the integer cocycle of ``x`` into the components
+    of ``y``; levels q+1..p+q+1 wedge the components of ``x`` with the
+    curvature of ``y`` (see the module docstring).  Functions and lines
+    enter in either position, so both (f∪g)∪h and f∪(g∪h) are supported.
+    """
+    if x.geometry is not y.geometry:
+        raise AnalyticError(
+            f"cup operands live on different chart systems "
+            f"({x.geometry.name} vs {y.geometry.name})"
+        )
+    if x.kind not in ("function", "line") or y.kind not in ("function", "line"):
+        raise AnalyticError(f"cup of kinds {x.kind} and {y.kind} is not supported")
+    for pres in (x, y):
+        _need(pres, "integer_of")
+        _need(pres, "curv_of")
+    p, degree = x.degree, x.degree + y.degree + 1
+    n_x, n_y, R_x, R_y = x.integer_of, y.integer_of, x.curv_of, y.curv_of
 
-    def comp1(gm: ChartedGeometry, J, s) -> FormExpr:
-        return turn_normalized_product(f_log(J[0]), g_dlog(gm, s, J[0]))
+    def integer_level(y_k: ComponentRule) -> ComponentRule:
+        def comp(gm: ChartedGeometry, J, s) -> FormExpr:
+            n = n_x(gm, s, J[: p + 2])
+            if n == 0:
+                return ZERO_EXPR
+            return expr_scale(y_k(gm, J[p + 1 :], s), n)
 
-    def dd_of(gm: ChartedGeometry, s: Simplex, a: int, b: int, c: int) -> int:
-        return f_jump(gm, s, a, b) * g.jump_of(gm, s, b, c)
+        return comp
 
-    def tlog_of(gm: ChartedGeometry, s: Simplex, a: int, b: int) -> FormExpr:
-        n = f_jump(gm, s, a, b)
-        return expr_scale(g_log(b), n) if n else ZERO_EXPR
+    def curvature_level(x_j: ComponentRule) -> ComponentRule:
+        def comp(gm: ChartedGeometry, J, s) -> FormExpr:
+            return turn_normalized_product(x_j(gm, J, s), R_y(gm, s))
 
-    def curv_of(gm: ChartedGeometry, s: Simplex) -> FormExpr:
-        return turn_normalized_product(f_dlog(gm, s, None), g_dlog(gm, s, None))
+        return comp
 
     # Turn normalization keeps every term affine with one net angle factor,
     # so the product stays exact-capable when both operands are.
     return AnalyticClassPresentation(
-        label=f"({f.label})∪({g.label})",
-        degree=1,
-        geometry=f.geometry,
-        components=(comp0, comp1),
-        rational=f.rational and g.rational,
-        params={"factors": (f.label, g.label)},
-        kind="line",
-        dd_of=dd_of,
-        tlog_of=tlog_of,
-        conn_of=lambda gm, s, a: turn_normalized_product(
-            f_log(a), g_dlog(gm, s, a)
-        ),
-        curv_of=curv_of,
+        label=f"({x.label})∪({y.label})",
+        degree=degree,
+        geometry=x.geometry,
+        components=tuple(map(integer_level, y.components))
+        + tuple(map(curvature_level, x.components)),
+        rational=x.rational and y.rational,
+        params={"factors": (x.label, y.label)},
+        kind=_KIND_OF_DEGREE[degree],
+        integer_of=lambda gm, s, J: n_x(gm, s, J[: p + 2]) * n_y(gm, s, J[p + 1 :]),
+        curv_of=lambda gm, s: turn_normalized_product(R_x(gm, s), R_y(gm, s)),
     )
-
-
-def _cup_function_line(
-    f: AnalyticClassPresentation, L: AnalyticClassPresentation
-) -> AnalyticClassPresentation:
-    for attr in ("tlog_of", "conn_of", "curv_of"):
-        _need(L, attr)
-    f_jump = f.jump_of
-    f_log = f.params["log_branch"]
-
-    def comp0(gm: ChartedGeometry, J, s) -> FormExpr:
-        n = f_jump(gm, s, J[0], J[1])
-        if n == 0:
-            return ZERO_EXPR
-        return expr_scale(L.tlog_of(gm, s, J[1], J[2]), n)
-
-    def comp1(gm: ChartedGeometry, J, s) -> FormExpr:
-        n = f_jump(gm, s, J[0], J[1])
-        if n == 0:
-            return ZERO_EXPR
-        return expr_scale(L.conn_of(gm, s, J[1]), n)
-
-    def comp2(gm: ChartedGeometry, J, s) -> FormExpr:
-        return turn_normalized_product(f_log(J[0]), L.curv_of(gm, s))
-
-    return AnalyticClassPresentation(
-        label=f"({f.label})∪({L.label})",
-        degree=2,
-        geometry=f.geometry,
-        components=(comp0, comp1, comp2),
-        rational=f.rational and L.rational,
-        params={"factors": (f.label, L.label)},
-        kind="gerbe",
-    )
-
-
-def _cup_line_function(
-    L: AnalyticClassPresentation, f: AnalyticClassPresentation
-) -> AnalyticClassPresentation:
-    for attr in ("dd_of", "tlog_of", "conn_of"):
-        _need(L, attr)
-    f_log = f.params["log_branch"]
-    f_dlog = f.params["dlog"]
-
-    def comp0(gm: ChartedGeometry, J, s) -> FormExpr:
-        m = L.dd_of(gm, s, J[0], J[1], J[2])
-        if m == 0:
-            return ZERO_EXPR
-        return expr_scale(f_log(J[2]), m)
-
-    def comp1(gm: ChartedGeometry, J, s) -> FormExpr:
-        return turn_normalized_product(
-            L.tlog_of(gm, s, J[0], J[1]), f_dlog(gm, s, J[0])
-        )
-
-    def comp2(gm: ChartedGeometry, J, s) -> FormExpr:
-        return turn_normalized_product(
-            L.conn_of(gm, s, J[0]), f_dlog(gm, s, J[0])
-        )
-
-    return AnalyticClassPresentation(
-        label=f"({L.label})∪({f.label})",
-        degree=2,
-        geometry=L.geometry,
-        components=(comp0, comp1, comp2),
-        rational=L.rational and f.rational,
-        params={"factors": (L.label, f.label)},
-        kind="gerbe",
-    )
-
-
-def _cup_line_line(
-    L: AnalyticClassPresentation, J_: AnalyticClassPresentation
-) -> AnalyticClassPresentation:
-    for attr in ("dd_of", "tlog_of", "conn_of"):
-        _need(L, attr)
-    for attr in ("tlog_of", "conn_of", "curv_of"):
-        _need(J_, attr)
-
-    def comp0(gm: ChartedGeometry, J, s) -> FormExpr:
-        m = L.dd_of(gm, s, J[0], J[1], J[2])
-        if m == 0:
-            return ZERO_EXPR
-        return expr_scale(J_.tlog_of(gm, s, J[2], J[3]), m)
-
-    def comp1(gm: ChartedGeometry, J, s) -> FormExpr:
-        m = L.dd_of(gm, s, J[0], J[1], J[2])
-        if m == 0:
-            return ZERO_EXPR
-        return expr_scale(J_.conn_of(gm, s, J[2]), m)
-
-    def comp2(gm: ChartedGeometry, J, s) -> FormExpr:
-        return turn_normalized_product(
-            L.tlog_of(gm, s, J[0], J[1]), J_.curv_of(gm, s)
-        )
-
-    def comp3(gm: ChartedGeometry, J, s) -> FormExpr:
-        return turn_normalized_product(
-            L.conn_of(gm, s, J[0]), J_.curv_of(gm, s)
-        )
-
-    return AnalyticClassPresentation(
-        label=f"({L.label})∪({J_.label})",
-        degree=3,
-        geometry=L.geometry,
-        components=(comp0, comp1, comp2, comp3),
-        rational=L.rational and J_.rational,
-        params={"factors": (L.label, J_.label)},
-        kind="two-gerbe",
-    )
-
-
-def cup_product(
-    a: AnalyticClassPresentation, b: AnalyticClassPresentation
-) -> AnalyticClassPresentation:
-    """Cup product of presentations; degree adds as p1 + p2 + 1.
-
-    Supported operand shapes: function∪function, function∪line,
-    line∪function, line∪line; a triple product of functions associates as
-    (f∪g)∪h.
-    """
-    _require_same_geometry(a, b)
-    shapes = (a.kind, b.kind)
-    if shapes == ("function", "function"):
-        return _cup_function_function(a, b)
-    if shapes == ("function", "line"):
-        return _cup_function_line(a, b)
-    if shapes == ("line", "function"):
-        return _cup_line_function(a, b)
-    if shapes == ("line", "line"):
-        return _cup_line_line(a, b)
-    raise AnalyticError(f"cup of kinds {a.kind} and {b.kind} is not supported")

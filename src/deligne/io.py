@@ -39,6 +39,12 @@ class SchemaError(DeligneError):
     """An artifact file does not match its schema."""
 
 
+# Most vertices a top simplex of a complex file may have.  One top on n
+# vertices has 2^n faces and n! flags, so the cap is checked before the
+# complex is built; 8 allows every dimension up to 7.
+MAX_TOP_VERTICES = 8
+
+
 # -- canonical serialization -----------------------------------------------------
 
 
@@ -93,16 +99,41 @@ def write_canonical(path: str, obj) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; the non-standard NaN/Infinity literals are refused."""
+    """Parse a JSON file; the non-standard NaN/Infinity literals and a key
+    repeated within one object are refused."""
 
     def refuse(literal: str):
         raise SchemaError(f"{path}: non-finite literal {literal} is not allowed")
 
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise SchemaError(f"{path}: duplicate object key {key!r}")
+                seen.add(key)
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_constant=refuse)
+            return json.load(fh, parse_constant=refuse, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: not valid JSON ({e})") from None
+
+
+def _json_int(v, what: str) -> int:
+    """``v`` if it is a JSON integer; a bool, float or string is refused."""
+    if type(v) is not int:
+        raise SchemaError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _json_ints(v, what: str) -> Tuple[int, ...]:
+    """``v`` as a tuple if it is an array of JSON integers."""
+    if type(v) is not list or not all(type(x) is int for x in v):
+        raise SchemaError(f"{what} must be an array of integers, got {v!r}")
+    return tuple(v)
 
 
 # -- simplex references -----------------------------------------------------------
@@ -171,6 +202,12 @@ def complex_from_json(doc) -> SimplicialComplex:
     tops = doc["top_simplices"]
     if not isinstance(tops, list) or not tops:
         raise SchemaError("top_simplices must be a non-empty array")
+    for t in tops:
+        if isinstance(t, list) and len(t) > MAX_TOP_VERTICES:
+            raise SchemaError(
+                f"a top simplex has {len(t)} vertices; at most "
+                f"{MAX_TOP_VERTICES} are allowed"
+            )
     K = build_complex([tuple(t) for t in tops])
     if "dim" in doc and doc["dim"] != K.dim:
         raise SchemaError(f"declared dim {doc['dim']} but tops have dim {K.dim}")
@@ -203,8 +240,11 @@ def cover_from_json(doc, K: SimplicialComplex) -> CoveredComplex:
     table = doc["admissible_top"]
     if not isinstance(table, dict):
         raise SchemaError("admissible_top must be an object")
-    mapping = {resolve_ref(K, key, "cover"): tuple(charts) for key, charts in table.items()}
-    return attach_cover(K, doc["num_sets"], mapping)
+    mapping = {
+        resolve_ref(K, key, "cover"): _json_ints(charts, f"charts of top {key!r}")
+        for key, charts in table.items()
+    }
+    return attach_cover(K, _json_int(doc["num_sets"], "num_sets"), mapping)
 
 
 def save_cover(C: CoveredComplex, path: str) -> None:
@@ -231,7 +271,8 @@ def index_map_from_json(doc, C: CoveredComplex) -> IndexMap:
     if not isinstance(doc, dict):
         raise SchemaError("index-map file must be an object")
     assignment = {
-        resolve_ref(C.complex, key, "index-map"): chart for key, chart in doc.items()
+        resolve_ref(C.complex, key, "index-map"): _json_int(chart, f"chart of {key!r}")
+        for key, chart in doc.items()
     }
     return make_index_map(C, assignment)
 
@@ -280,15 +321,15 @@ def cochain_from_json(doc, C: CoveredComplex) -> DeligneCochain:
     for e in doc["entries"]:
         if not isinstance(e, dict) or not {"k", "simplex", "indices", "value"} <= set(e):
             raise SchemaError(f"bad cochain entry {e!r}")
-        k = e["k"]
+        k = _json_int(e["k"], "entry level k")
         s = resolve_ref(K, e["simplex"])
         if len(s) - 1 != k:
             raise SchemaError(
                 f"entry level {k} does not match its simplex dimension {len(s) - 1}"
             )
-        J = tuple(e["indices"])
+        J = _json_ints(e["indices"], "entry indices")
         entries.append((k, J, s, scalar_from_json(e["value"], exact)))
-    return build_cochain(C, doc["degree"], entries, exact=exact)
+    return build_cochain(C, _json_int(doc["degree"], "degree"), entries, exact=exact)
 
 
 def save_cochain(c: DeligneCochain, path: str) -> None:

@@ -18,7 +18,7 @@ sums over flags are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ComplexError
@@ -394,11 +394,14 @@ def barycentric_subdivide(
 
     Each simplex of K gets a barycenter vertex, labeled in order of
     (dimension, lexicographic position), so the vertices of any chain are
-    automatically ascending.  A child top is a maximal chain; its
-    orientation is the parent's parity times the sign of the chain's
-    barycentric determinant, so subdivision preserves the fundamental
-    class.  The carrier of a child simplex is the smallest parent simplex
-    containing it, i.e. the largest chain element among its vertices.
+    automatically ascending.  A child top is a maximal chain, one per
+    permutation of the parent's vertex positions (the order in which the
+    chain adds them).  The chain's barycentre matrix is that permutation
+    matrix times a lower-triangular one with positive diagonal, so its
+    barycentric orientation is the permutation's parity; times the
+    parent's, it makes subdivision preserve the fundamental class.  The
+    carrier of a child simplex is the smallest parent simplex containing
+    it, i.e. the largest chain element among its vertices.
     """
     if K.dim < 0:
         raise ComplexError("cannot subdivide the empty complex")
@@ -411,22 +414,13 @@ def barycentric_subdivide(
     tops: List[Simplex] = []
     orient: Dict[Simplex, int] = {}
     for t in K.tops:
-        vpos = {v: i for i, v in enumerate(t)}
-        for chain in _maximal_chains(t):
-            # Barycentric coordinates of each barycenter inside t.
-            coords = []
-            for tau in chain:
-                row = [Fraction(0)] * len(t)
-                for v in tau:
-                    row[vpos[v]] = Fraction(1, len(tau))
-                coords.append(row)
-            rows = [
-                [coords[i][c] - coords[0][c] for c in range(1, len(t))]
-                for i in range(1, len(chain))
-            ]
-            geo = 1 if K.dim == 0 else (1 if determinant(rows) > 0 else -1)
-            parity = geo * K.orientation(t)
-            verts = tuple(label[tau] for tau in chain)  # ascending by labeling
+        for perm in permutations(range(len(t))):
+            parity = parity_sort(perm)[1] * K.orientation(t)
+            # The chain's barycentres, ascending by labeling.
+            verts = tuple(
+                label[tuple(t[i] for i in sorted(perm[: m + 1]))]
+                for m in range(len(t))
+            )
             child = verts if parity == 1 or len(verts) == 1 else (
                 verts[:-2] + (verts[-1], verts[-2])
             )
@@ -440,20 +434,3 @@ def barycentric_subdivide(
     for _, s in K2.all_simplices():
         carriers[s] = parent_of_label[max(s)]
     return K2, carriers
-
-
-def _maximal_chains(top: Simplex) -> Iterable[Tuple[Simplex, ...]]:
-    """All chains of faces of ``top`` ascending from a vertex to ``top``."""
-
-    def grow(chain: Tuple[Simplex, ...]):
-        head = chain[-1]
-        if head == top:
-            yield chain
-            return
-        remaining = [v for v in top if v not in head]
-        for v in sorted(remaining):
-            nxt = tuple(sorted(head + (v,)))
-            yield from grow(chain + (nxt,))
-
-    for v in top:
-        yield from grow(((v,),))

@@ -10,6 +10,7 @@ from deligne import (
     FormTerm,
     ZERO_EXPR,
     build_cochain,
+    cech_delta,
     chern_cocycle,
     cup_product,
     curvature_total,
@@ -368,13 +369,95 @@ def test_cup_rejects_mixed_geometries(circle_2arc, circle_3arc):
 def test_cup_rejects_unsupported_kinds(torus2_4chart, circle_2arc):
     t = torsion_class(torus2_4chart, 5, 2, 1)
     f = winding_function(torus2_4chart, 1)
-    with pytest.raises(AnalyticError):
-        cup_product(t, f)
-    # flat_circle is a line but exposes no transition-log expression
+    gerbe = cup_product(cup_product(f, winding_function(torus2_4chart, 1, coord=1)), f)
+    zero = zero_class(torus2_4chart, 1)
+    for a, b in [(t, f), (gerbe, f), (f, gerbe), (zero, f)]:
+        with pytest.raises(AnalyticError, match="is not supported"):
+            cup_product(a, b)
+    # flat_circle is a line but has no integer cocycle rule
     flat = flat_circle(circle_2arc, "1/3", exact=True)
     g = winding_function(circle_2arc, 1)
-    with pytest.raises(AnalyticError):
-        cup_product(g, flat)
+    for a, b in [(g, flat), (flat, g)]:
+        with pytest.raises(AnalyticError, match="does not expose integer_of"):
+            cup_product(a, b)
+
+
+def _windings(g, exact, *coords):
+    return [winding_function(g, 1, coord=c, exact=exact) for c in coords]
+
+
+def _function_line(g, exact):
+    a, b, e = _windings(g, exact, 0, 1, 2)
+    return cup_product(a, cup_product(b, e))
+
+
+def _line_line(g, exact):
+    a, b, e = _windings(g, exact, 0, 1, 2)
+    return cup_product(cup_product(a, b), cup_product(b, e))
+
+
+def _line_function(g, exact):
+    const = winding_function(g, 0, offset=Fraction(3, 7), exact=exact)
+    return cup_product(cup_product(*_windings(g, exact, 0, 1)), const)
+
+
+# The factors and every supported cup shape, as builders of (geometry,
+# exact).  Each case has vertices where p + 2 charts meet, so the integer
+# cocycle is checked somewhere; winding functions have no branch at the
+# sphere's poles, so the sphere carries the monopoles alone.
+CUP_CONTRACT_CASES = {
+    "circle-3arc": {
+        "f": lambda g, x: winding_function(g, 1, exact=x),
+        "f+offset": lambda g, x: winding_function(g, 2, offset=Fraction(3, 7), exact=x),
+    },
+    "torus2-4chart": {
+        "f∪g": lambda g, x: cup_product(*_windings(g, x, 0, 1)),
+        "(f∪g)∪c": _line_function,
+    },
+    "torus3-8chart": {"a∪(b∪e)": _function_line, "(a∪b)∪(b∪e)": _line_line},
+    "sphere-octahedron-2chart": {
+        "monopole(-2)": lambda g, x: monopole(g, -2),
+        "monopole(1)": lambda g, x: monopole(g, 1),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def subdivided():
+    cache = {}
+
+    def get(g):
+        if g.name not in cache:
+            cache[g.name] = subdivide_geometry(g)
+        return cache[g.name]
+
+    return get
+
+
+@pytest.mark.parametrize(
+    "name,case,fine",
+    [
+        (name, case, fine)
+        for name, cases in CUP_CONTRACT_CASES.items()
+        for case in cases
+        for fine in ([False] if name == "torus3-8chart" else [False, True])
+    ],
+)
+def test_integer_of_is_the_cech_coboundary(request, subdivided, name, case, fine):
+    g = request.getfixturevalue(name.replace("-", "_"))
+    geom = subdivided(g) if fine else g
+    build = CUP_CONTRACT_CASES[name][case]
+    pres = build(g, True)
+    c = discretize(pres, geom, exact=True)
+    assert validate_cocycle(c).passed
+    assert validate_cocycle(discretize(build(g, False), geom)).passed
+    sign = (-1) ** pres.degree
+    conditions = 0
+    for v in geom.covered.complex.simplices(0):
+        for J in geom.covered.multi_indices(v, pres.degree + 2):
+            assert pres.integer_of(geom, v, J) == sign * cech_delta(c, v, J)
+            conditions += 1
+    assert conditions > 0
 
 
 def test_curvature_form_accessors(sphere_octahedron_2chart, torus2_4chart):

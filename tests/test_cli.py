@@ -27,7 +27,7 @@ from deligne import (
 )
 from deligne._scalars import TWO_PI
 from deligne.cli import main
-from deligne.io import read_json, write_canonical
+from deligne.io import dumps_canonical, read_json, write_canonical
 
 
 def run(capsys, *argv):
@@ -569,6 +569,66 @@ def test_aliased_index_map_key_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "holonomy", *paths, "--index-map", rho_path)
     assert code == 1 and out == ""
     assert err.startswith("deligne:") and "'00/0'" in err
+
+
+def _edit_doc(change):
+    def edit(text):
+        doc = json.loads(text)
+        change(doc)
+        return dumps_canonical(doc)
+
+    return edit
+
+
+# (file, edit of its canonical text, a word the error names); the files are
+# complex, cover, cochain and index map of a circle-3arc gauge orbit.
+HOSTILE_EDITS = {
+    "duplicate-cover-key": (
+        1,
+        lambda text: text.replace('"admissible_top":{', '"admissible_top":{"0":[0],', 1),
+        "duplicate object key '0'",
+    ),
+    "duplicate-entry-field": (
+        2,
+        lambda text: text.replace('"value":', '"value":"0/1","value":', 1),
+        "duplicate object key 'value'",
+    ),
+    "bool-chart": (
+        1,
+        _edit_doc(lambda doc: doc["admissible_top"]["0"].append(True)),
+        "must be an",
+    ),
+    "float-num-sets": (
+        1, _edit_doc(lambda doc: doc.update(num_sets=doc["num_sets"] + 0.5)), "num_sets"
+    ),
+    "float-index-map-chart": (
+        3, _edit_doc(lambda doc: doc.update({"0/0": float(doc["0/0"])})), "'0/0'"
+    ),
+    "bool-degree": (2, _edit_doc(lambda doc: doc.update(degree=True)), "degree"),
+    "float-level": (
+        2, _edit_doc(lambda doc: doc["entries"][0].update(k=0.0)), "entry level k"
+    ),
+    "huge-top": (
+        0, _edit_doc(lambda doc: doc["top_simplices"].append(list(range(64)))), "64"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_EDITS))
+def test_hostile_artifact_exits_1(capsys, tmp_path, case):
+    which, edit, named = HOSTILE_EDITS[case]
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="hostile")
+    C = load_cover(paths[1], load_complex(paths[0]))
+    rho_path = str(tmp_path / "rho.json")
+    save_index_map(default_index_map(C), C, rho_path)
+    path = [*paths, rho_path][which]
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(edit(text))
+    code, out, err = run(capsys, "holonomy", *paths, "--index-map", rho_path)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and named in err
 
 
 def test_unwritable_report_output_exits_1(capsys, tmp_path):

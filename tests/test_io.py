@@ -187,6 +187,39 @@ def test_read_json_rejects_invalid_file(tmp_path):
         read_json(str(p))
 
 
+# Each case: the artifact's canonical text, a key in it, the pair written
+# again before that key, and the artifact's loader.
+DUPLICATE_KEY_CASES = {
+    "cover": (
+        lambda: dumps_canonical(cover_to_json(COVER)),
+        '"0":',
+        '"0":[0,1],',
+        lambda path: load_cover(path, TWO_TRIS),
+    ),
+    "index-map": (
+        lambda: dumps_canonical(index_map_to_json(default_index_map(COVER), COVER)),
+        '"0/0":',
+        '"0/0":1,',
+        lambda path: load_index_map(path, COVER),
+    ),
+    "cochain-entry": (
+        lambda: dumps_canonical(cochain_to_json(random_cochain(COVER, 1, 2, exact=True))),
+        '"value":',
+        '"value":"1/7",',
+        lambda path: load_cochain(path, COVER),
+    ),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(DUPLICATE_KEY_CASES))
+def test_read_json_rejects_duplicate_keys(tmp_path, artifact):
+    text, key, repeat, load = DUPLICATE_KEY_CASES[artifact]
+    p = tmp_path / "dup.json"
+    p.write_text(text().replace(key, repeat + key, 1), encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"duplicate object key '{key[1:-2]}'"):
+        load(str(p))
+
+
 def test_write_canonical_ends_with_single_lf(tmp_path):
     p = tmp_path / "x.json"
     write_canonical(str(p), {"a": 1})
@@ -268,7 +301,16 @@ def test_complex_from_json_checks_declared_dim():
 
 
 @pytest.mark.parametrize(
-    "doc", [{}, {"top_simplices": []}, {"top_simplices": "x"}, [1, 2], None]
+    "doc",
+    [
+        {},
+        {"top_simplices": []},
+        {"top_simplices": "x"},
+        [1, 2],
+        None,
+        # 2^64 faces: refused before the complex is built.
+        {"top_simplices": [list(range(64))]},
+    ],
 )
 def test_complex_from_json_rejects_bad_documents(doc):
     with pytest.raises(SchemaError):
@@ -316,6 +358,27 @@ def test_cover_from_json_rejects_aliased_top_key(alias):
         cover_from_json(doc, TWO_TRIS)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("0", [0, 1, True]),
+        ("0", "123"),
+        ("0", [1.0]),
+        ("num_sets", 4.5),
+        ("num_sets", "4"),
+        ("num_sets", True),
+    ],
+)
+def test_cover_from_json_rejects_non_integer_fields(field, value):
+    doc = cover_to_json(COVER)
+    if field == "num_sets":
+        doc["num_sets"] = value
+    else:
+        doc["admissible_top"][field] = value
+    with pytest.raises(SchemaError, match="must be an"):
+        cover_from_json(doc, TWO_TRIS)
+
+
 def test_cover_from_json_rejects_non_object_table():
     with pytest.raises(SchemaError):
         cover_from_json({"num_sets": 4, "admissible_top": [[0]]}, TWO_TRIS)
@@ -350,6 +413,14 @@ def test_index_map_from_json_rejects_aliased_key(alias):
     doc = index_map_to_json(default_index_map(COVER), COVER)
     doc[alias] = doc["0/0"]
     with pytest.raises(SchemaError):
+        index_map_from_json(doc, COVER)
+
+
+@pytest.mark.parametrize("chart", [True, "1", 1.0])
+def test_index_map_from_json_rejects_non_integer_chart(chart):
+    doc = index_map_to_json(default_index_map(COVER), COVER)
+    doc["0/1"] = chart
+    with pytest.raises(SchemaError, match="must be an integer"):
         index_map_from_json(doc, COVER)
 
 
@@ -413,6 +484,33 @@ def test_cochain_from_json_rejects_missing_top_level_fields():
         cochain_from_json({"degree": 1}, COVER)
     with pytest.raises(SchemaError):
         cochain_from_json({"entries": []}, COVER)
+
+
+def _entry_mutation(field, value):
+    def mutate(doc):
+        entry = next(e for e in doc["entries"] if e["k"] == 1)
+        entry[field] = value(entry[field])
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(degree=True),
+        lambda doc: doc.update(degree=1.0),
+        _entry_mutation("k", lambda k: True),
+        _entry_mutation("k", float),
+        _entry_mutation("indices", lambda J: [float(a) for a in J]),
+        _entry_mutation("indices", lambda J: [True]),
+    ],
+    ids=["degree-true", "degree-float", "k-true", "k-float", "indices-float", "indices-true"],
+)
+def test_cochain_from_json_rejects_non_integer_fields(mutate):
+    doc = cochain_to_json(random_cochain(COVER, 1, seed=2))
+    mutate(doc)
+    with pytest.raises(SchemaError, match="must be an"):
+        cochain_from_json(doc, COVER)
 
 
 def test_cochain_entries_sorted_canonically():

@@ -1,7 +1,9 @@
 """Complex construction, boundary bookkeeping, flags, and subdivision."""
 
 import math
-from itertools import permutations
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,12 @@ from deligne import (
     relabel_complex,
     reverse_orientation,
 )
-from deligne.simplicial import boundary_restrict, facets_of, sort_with_parity
+from deligne.simplicial import (
+    boundary_restrict,
+    determinant,
+    facets_of,
+    sort_with_parity,
+)
 
 from oracles import facet_sign, sorted_sign
 
@@ -288,3 +295,53 @@ def test_subdivision_boundary_commutes():
     assert S.closed
     assert len(S.tops) == 6
     assert S.euler_characteristic() == 0
+
+
+def determinant_rule_subdivision(K):
+    """Reference child tops and orientations of a barycentric subdivision.
+
+    Every chain of faces of a top, ascending from a vertex to the top, is
+    one child; its orientation is the sign of the determinant of its
+    barycentres' coordinates inside the top, times the top's parity.
+    """
+    label = {s: i for i, (_, s) in enumerate(K.all_simplices())}
+    out = {}
+    for t in K.tops:
+
+        def chains(chain):
+            head = chain[-1]
+            if head == t:
+                yield chain
+            for v in t:
+                if v not in head:
+                    yield from chains(chain + (tuple(sorted(head + (v,))),))
+
+        for chain in (c for v in t for c in chains(((v,),))):
+            rows = [
+                [
+                    Fraction(int(v in tau), len(tau)) - int(v in chain[0])
+                    for v in t[1:]
+                ]
+                for tau in chain[1:]
+            ]
+            geo = 1 if len(t) == 1 else (1 if determinant(rows) > 0 else -1)
+            verts = [label[tau] for tau in chain]
+            if geo * K.orientation(t) == -1:
+                verts[-1], verts[-2] = verts[-2], verts[-1]
+            s, parity = sort_with_parity(verts)
+            out[s] = parity
+    return out
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_subdivision_orientations_match_determinant_rule(seed):
+    rng = random.Random(seed)
+    dim = seed % 4
+    labels = rng.sample(range(20), dim + 1 + rng.randrange(4))
+    faces = [list(f) for f in combinations(labels, dim + 1)]
+    tops = rng.sample(faces, rng.randint(1, min(6, len(faces))))
+    for t in tops:
+        rng.shuffle(t)
+    K = build_complex(tops)
+    K2, _ = barycentric_subdivide(K)
+    assert {t: K2.orientation(t) for t in K2.tops} == determinant_rule_subdivision(K)
