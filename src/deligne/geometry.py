@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .cover import CoveredComplex, attach_cover
@@ -73,29 +74,50 @@ class ChartedGeometry:
         return int(d)
 
 
+def _integer_rows(
+    lifts: Mapping[Tuple[int, Simplex], Tuple[Row, ...]]
+) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
+    """The lcm L of all row denominators of a lift table, and every
+    distinct row object (keyed by ``id``) scaled once to integers over L."""
+    rows_by_id = {id(r): r for rows in lifts.values() for r in rows}
+    L = lcm(*{x.denominator for r in rows_by_id.values() for x in r})
+    return L, {
+        i: tuple(x.numerator * (L // x.denominator) for x in r)
+        for i, r in rows_by_id.items()
+    }
+
+
 def _validate_geometry(g: ChartedGeometry) -> None:
-    # Offsets between coexisting charts must be constant per simplex and
-    # integral (turns) in periodic coordinates; each branch must span less
-    # than a full turn so no simplex straddles a cut.
+    """Check every admissible lift of every simplex, on integers.
+
+    Offsets between coexisting charts must be constant per simplex and
+    integral (turns) in periodic coordinates; each branch must span less
+    than a full turn so no simplex straddles a cut.  All rows are scaled
+    once to integers over the common denominator L of the table, so a full
+    turn is L: a span fails at ``max - min >= L``, an offset is integral
+    when ``d % L == 0``, and constancy and agreement are int compares.
+    """
     ncoord = len(g.coords)
+    L, scaled = _integer_rows(g.lifts)
+    periodic = [c for c in range(ncoord) if g.periodic[c]]
     for _, s in g.covered.complex.all_simplices():
         charts = [a for a in g.covered.admissible_of(s) if (a, s) in g.lifts]
+        ints = {}
         for a in charts:
             rows = g.lifts[(a, s)]
             if len(rows) != len(s):
                 raise AnalyticError(f"lift of {s} in chart {a} has wrong arity")
-            for c in range(ncoord):
-                if g.periodic[c]:
-                    span = max(r[c] for r in rows) - min(r[c] for r in rows)
-                    if span >= 1:
-                        raise AnalyticError(
-                            f"simplex {s} spans a full turn of {g.coords[c]} "
-                            f"in chart {a}"
-                        )
+            rows = ints[a] = [scaled[id(r)] for r in rows]
+            for c in periodic:
+                if max(r[c] for r in rows) - min(r[c] for r in rows) >= L:
+                    raise AnalyticError(
+                        f"simplex {s} spans a full turn of {g.coords[c]} "
+                        f"in chart {a}"
+                    )
         for i in range(len(charts)):
             for j in range(i + 1, len(charts)):
                 a, b = charts[i], charts[j]
-                ra, rb = g.lifts[(a, s)], g.lifts[(b, s)]
+                ra, rb = ints[a], ints[b]
                 diffs = {
                     tuple(rb[t][c] - ra[t][c] for c in range(ncoord))
                     for t in range(len(s))
@@ -106,7 +128,7 @@ def _validate_geometry(g: ChartedGeometry) -> None:
                     )
                 d = next(iter(diffs))
                 for c in range(ncoord):
-                    if g.periodic[c] and d[c].denominator != 1:
+                    if g.periodic[c] and d[c] % L:
                         raise AnalyticError(
                             f"non-integral turn offset between charts {a},{b} on {s}"
                         )
@@ -533,6 +555,14 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     lifts average the parent rows of its carrier, staying inside a single
     branch.  Parent simplices without a branch (pole vertices) propagate
     their missing entries, which is harmless exactly where it happens.
+
+    A fine vertex's row depends only on the chart and the carrier whose
+    rows it averages, so it is computed once per (chart, carrier) and the
+    same row tuple is shared by every child simplex with that carrier
+    (Munkres, *Elements of Algebraic Topology*, section 15).  The average
+    is an integer sum of the parent rows scaled over their common
+    denominator L, made one ``Fraction`` per coordinate.  The result is
+    validated like any other geometry.
     """
     K = g.covered.complex
     K2, carriers = barycentric_subdivide(K)
@@ -540,6 +570,8 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     cov2 = attach_cover(K2, g.covered.num_sets, tops_admissible)
 
     lifts: Dict[Tuple[int, Simplex], Tuple[Row, ...]] = {}
+    bary: Dict[Tuple[int, Simplex, int], Row] = {}
+    L, scaled = _integer_rows(g.lifts)
     ncoord = len(g.coords)
     for _, s in K2.all_simplices():
         carrier = carriers[s]
@@ -547,16 +579,19 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
             parent_rows = g.lifts.get((a, carrier))
             if parent_rows is None:
                 continue
-            pos = {v: i for i, v in enumerate(carrier)}
             rows: List[Row] = []
             for b in s:
-                tau = carriers[(b,)]
-                rows.append(
-                    tuple(
-                        sum(parent_rows[pos[v]][c] for v in tau) / len(tau)
+                row = bary.get((a, carrier, b))
+                if row is None:
+                    tau = [
+                        scaled[id(parent_rows[carrier.index(v)])]
+                        for v in carriers[(b,)]
+                    ]
+                    row = bary[(a, carrier, b)] = tuple(
+                        Fraction(sum(r[c] for r in tau), L * len(tau))
                         for c in range(ncoord)
                     )
-                )
+                rows.append(row)
             lifts[(a, s)] = tuple(rows)
     g2 = ChartedGeometry(
         name=g.name,
@@ -568,4 +603,3 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     )
     _validate_geometry(g2)
     return g2
-

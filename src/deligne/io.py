@@ -203,13 +203,15 @@ def complex_from_json(doc) -> SimplicialComplex:
     if not isinstance(tops, list) or not tops:
         raise SchemaError("top_simplices must be a non-empty array")
     for t in tops:
-        if isinstance(t, list) and len(t) > MAX_TOP_VERTICES:
+        if not isinstance(t, list):
+            raise SchemaError(f"a top simplex must be an array, got {t!r}")
+        if len(t) > MAX_TOP_VERTICES:
             raise SchemaError(
                 f"a top simplex has {len(t)} vertices; at most "
                 f"{MAX_TOP_VERTICES} are allowed"
             )
     K = build_complex([tuple(t) for t in tops])
-    if "dim" in doc and doc["dim"] != K.dim:
+    if "dim" in doc and _json_int(doc["dim"], "dim") != K.dim:
         raise SchemaError(f"declared dim {doc['dim']} but tops have dim {K.dim}")
     return K
 

@@ -194,23 +194,27 @@ class SimplicialComplex:
 
         The sign of a chain is the top's parity times the product of the
         incidence numbers of its steps.  Order is lexicographic in the
-        chain, which fixes summation order everywhere downstream.
+        chain, which fixes summation order everywhere downstream.  Level
+        q extends each chain of the cached level q + 1 by the facets of
+        its last simplex, in facet order.
         """
         if q < 0 or q > self.dim:
             raise ComplexError(f"flag depth {q} out of range for dim {self.dim}")
         if q not in self._flag_cache:
-            out: List[Flag] = []
-            for t in self.tops:
-                self._extend_flag((t,), self._orient[t], q, out)
+            if q == self.dim:
+                out = [Flag((t,), self._orient[t]) for t in self.tops]
+            else:
+                facets: Dict[Simplex, Tuple[Tuple[Simplex, int], ...]] = {}
+                out = []
+                for chain, sign in self.flags(q + 1):
+                    last = chain[-1]
+                    steps = facets.get(last)
+                    if steps is None:
+                        steps = facets[last] = facets_of(last)
+                    for tau, inc in steps:
+                        out.append(Flag(chain + (tau,), sign * inc))
             self._flag_cache[q] = tuple(out)
         return self._flag_cache[q]
-
-    def _extend_flag(self, chain, sign, q, out) -> None:
-        if len(chain[-1]) - 1 == q:
-            out.append(Flag(chain, sign))
-            return
-        for tau, inc in facets_of(chain[-1]):
-            self._extend_flag(chain + (tau,), sign * inc, q, out)
 
     def __repr__(self) -> str:
         counts = ",".join(str(len(self._by_dim[k])) for k in range(self.dim + 1))

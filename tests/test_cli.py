@@ -611,6 +611,10 @@ HOSTILE_EDITS = {
     "huge-top": (
         0, _edit_doc(lambda doc: doc["top_simplices"].append(list(range(64)))), "64"
     ),
+    "scalar-top": (
+        0, _edit_doc(lambda doc: doc["top_simplices"].append(5)), "must be an array"
+    ),
+    "float-dim": (0, _edit_doc(lambda doc: doc.update(dim=float(doc["dim"]))), "dim"),
 }
 
 

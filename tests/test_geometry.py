@@ -6,12 +6,16 @@ import pytest
 
 from deligne import (
     AnalyticError,
+    ChartedGeometry,
     GEOMETRY_BUILDERS,
+    attach_cover,
+    build_complex,
     get_geometry,
     subdivide_geometry,
     torus2_axis_loop,
     torus3_plane_slice,
 )
+from deligne.geometry import _validate_geometry
 
 ALL_NAMES = sorted(GEOMETRY_BUILDERS)
 
@@ -175,3 +179,113 @@ def test_subdivide_geometry_twice(annulus):
     assert len(g3.covered.complex.tops) == 6 * len(g2.covered.complex.tops)
     assert g3.parent is g2
     assert not g3.covered.complex.closed
+
+
+def reference_subdivided_lifts(g, g2):
+    """Naive lifts of a subdivision: every (chart, child simplex, vertex)
+    averages the chart's rows of its carrier over the vertex's parent
+    simplex.  Fine vertex i is the barycentre of the i-th parent simplex,
+    and a child's carrier is the parent simplex of its last vertex."""
+    parents = [s for _, s in g.covered.complex.all_simplices()]
+    out = {}
+    for _, s in g2.covered.complex.all_simplices():
+        carrier = parents[s[-1]]
+        for a in g2.covered.admissible_of(s):
+            if (a, carrier) not in g.lifts:
+                continue
+            crows = dict(zip(carrier, g.lifts[(a, carrier)]))
+            out[(a, s)] = tuple(
+                tuple(
+                    sum(crows[v][c] for v in parents[b]) / len(parents[b])
+                    for c in range(len(g.coords))
+                )
+                for b in s
+            )
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_subdivided_lifts_match_reference(name):
+    g = get_geometry(name)
+    for _ in range(1 if name == "torus3-8chart" else 2):
+        g2 = subdivide_geometry(g)
+        ref = reference_subdivided_lifts(g, g2)
+        assert list(g2.lifts) == list(ref)
+        for key, rows in ref.items():
+            assert g2.lifts[key] == rows
+            assert all(type(x) is Fraction for r in g2.lifts[key] for x in r)
+        g = g2
+
+
+# -- validation --------------------------------------------------------------------
+
+F = Fraction
+TRIANGLE = build_complex([(0, 1, 2)])
+# Rows over the coprime denominators 3 and 4, so the common one is 12.
+BASE = {0: (F(0), F(0)), 1: (F(1, 3), F(0)), 2: (F(1, 4), F(1, 4))}
+
+
+def hand_geometry(*charts):
+    """A triangle in (theta, s), theta periodic, with one chart per vertex
+    row table, each lifted on every face."""
+    lifts = {
+        (a, s): tuple(rows[v] for v in s)
+        for a, rows in enumerate(charts)
+        for _, s in TRIANGLE.all_simplices()
+    }
+    cover = attach_cover(TRIANGLE, len(charts), {(0, 1, 2): tuple(range(len(charts)))})
+    return ChartedGeometry("hand", ("theta", "s"), (True, False), cover, lifts)
+
+
+def shifted(dtheta, ds=F(0), at=(0, 1, 2)):
+    return {v: (r[0] + (dtheta if v in at else 0), r[1] + ds) for v, r in BASE.items()}
+
+
+def test_validate_geometry_accepts_integral_offsets():
+    _validate_geometry(hand_geometry(BASE, shifted(2), shifted(-1)))
+    # 11/12 of a turn is the widest span that is not a full turn.
+    _validate_geometry(hand_geometry({**BASE, 2: (F(11, 12), F(0))}))
+
+
+def wrong_arity():
+    g = hand_geometry(BASE)
+    g.lifts[(0, (0, 1))] = (BASE[0],)
+    return g
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (wrong_arity, "lift of (0, 1) in chart 0 has wrong arity"),
+        (
+            lambda: hand_geometry({**BASE, 2: (F(1), F(0))}),
+            "simplex (0, 2) spans a full turn of theta in chart 0",
+        ),
+        (
+            lambda: hand_geometry(BASE, {**shifted(1), 1: (F(-2, 3), F(0))}),
+            "simplex (0, 1) spans a full turn of theta in chart 1",
+        ),
+        (
+            lambda: hand_geometry(BASE, shifted(1, at=(0,))),
+            "charts 0,1 do not differ by a constant on (0, 1)",
+        ),
+        (
+            lambda: hand_geometry(BASE, shifted(F(1, 12))),
+            "non-integral turn offset between charts 0,1 on (0,)",
+        ),
+        (
+            lambda: hand_geometry(BASE, shifted(1, ds=F(1, 3))),
+            "non-periodic coordinate s disagrees between charts 0,1 on (0,)",
+        ),
+        (
+            lambda: hand_geometry(BASE, shifted(0, ds=F(1))),
+            "non-periodic coordinate s disagrees between charts 0,1 on (0,)",
+        ),
+    ],
+)
+def test_validate_geometry_messages(make, message):
+    g = make()
+    with pytest.raises(AnalyticError) as err:
+        _validate_geometry(g)
+    assert str(err.value) == message
+

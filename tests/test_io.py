@@ -310,6 +310,11 @@ def test_complex_from_json_checks_declared_dim():
         None,
         # 2^64 faces: refused before the complex is built.
         {"top_simplices": [list(range(64))]},
+        {"top_simplices": [5]},
+        {"top_simplices": [[0, 1], "12"]},
+        # A declared dim must be a JSON integer, not a bool or float equal to it.
+        {"top_simplices": [[0, 1], [1, 2]], "dim": True},
+        {"top_simplices": [[0, 1], [1, 2]], "dim": 1.0},
     ],
 )
 def test_complex_from_json_rejects_bad_documents(doc):

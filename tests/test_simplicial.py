@@ -19,6 +19,7 @@ from deligne import (
     reverse_orientation,
 )
 from deligne.simplicial import (
+    Flag,
     boundary_restrict,
     determinant,
     facets_of,
@@ -154,6 +155,42 @@ def test_flag_enumeration_on_triangle():
     assert len(K.flags(1)) == 3
     with pytest.raises(ComplexError):
         K.flags(3)
+
+
+def recursive_flags(K, q):
+    """Reference flag enumeration: depth-first from each top in lex order."""
+    out = []
+
+    def extend(chain, sign):
+        if len(chain[-1]) - 1 == q:
+            out.append((chain, sign))
+            return
+        for tau, inc in facets_of(chain[-1]):
+            extend(chain + (tau,), sign * inc)
+
+    for t in K.tops:
+        extend((t,), K.orientation(t))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_flags_match_recursive_enumeration(seed):
+    rng = random.Random(seed)
+    dim = seed % 4
+    labels = rng.sample(range(20), dim + 1 + rng.randrange(4))
+    faces = [list(f) for f in combinations(labels, dim + 1)]
+    tops = rng.sample(faces, rng.randint(1, min(6, len(faces))))
+    for t in tops:
+        rng.shuffle(t)
+    K = build_complex(tops)
+    if seed % 2:
+        K, _ = barycentric_subdivide(K)
+    levels = list(range(dim + 1))
+    rng.shuffle(levels)
+    for q in levels:
+        flags = K.flags(q)
+        assert all(isinstance(f, Flag) for f in flags)
+        assert [tuple(f) for f in flags] == recursive_flags(K, q)
 
 
 def test_flags_respect_top_orientation():
