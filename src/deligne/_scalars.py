@@ -50,6 +50,12 @@ def coerce(value, exact: bool) -> Scalar:
     return x
 
 
+def exceeds(residual: Scalar, tol: float, exact: bool) -> bool:
+    """Whether a residual breaches the tolerance: any nonzero residual in
+    exact mode, more than ``tol`` in float mode, and NaN always."""
+    return not (residual <= (0 if exact else tol))
+
+
 def wrap(x: Scalar, exact: bool) -> Scalar:
     """Reduce an angle to the half-open fundamental window (-T/2, T/2]."""
     turn = full_turn(exact)

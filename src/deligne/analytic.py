@@ -293,8 +293,7 @@ def discretize(
     ``geometry`` may be the presentation's own geometry (default) or any
     barycentric subdivision of it; the expressions are evaluated with the
     finer lifts.  Rational output is refused where it cannot be exact.
-    Integration is exact, so ``quad_order`` has no effect on the values;
-    it is accepted so that callers written for a quadrature rule still run.
+    ``quad_order`` is ignored (integration is exact); callers still pass it.
     """
     geom = geometry if geometry is not None else pres.geometry
     if not _lineage_ok(pres, geom):
@@ -341,6 +340,13 @@ def _no_component(geom, J, s) -> FormExpr:
     return ZERO_EXPR
 
 
+def _integer(name: str, value) -> int:
+    """``value`` if it is an int; a bool, float or string is refused."""
+    if type(value) is not int:
+        raise AnalyticError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def winding_function(
     geom: ChartedGeometry,
     w: int,
@@ -356,9 +362,9 @@ def winding_function(
     with ``offset=3/7`` describe the same function, whose logs differ
     only by the unit (3/7 turn versus 2*pi*3/7 radians).
     """
-    if not geom.periodic[coord]:
+    w, coord = _integer("w", w), _integer("coord", coord)
+    if not (0 <= coord < len(geom.periodic) and geom.periodic[coord]):
         raise AnalyticError("winding functions need a periodic coordinate")
-    w = int(w)
     c = coerce(offset, exact)
     rational = exact or offset == 0
     if c == 0:
@@ -447,7 +453,7 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
     """
     if geom.coords != ("theta", "u"):
         raise AnalyticError("the monopole lives on the octahedron sphere")
-    k = int(k)
+    k = _integer("k", k)
     half = Fraction(k, 2)
 
     def southern(chart: int) -> bool:
@@ -535,12 +541,12 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
 
 
 def torsion_class(
-    geom: ChartedGeometry, q: int, w: int, degree: int
+    geom: ChartedGeometry, q: int, w: int = 1, degree: int = 1
 ) -> AnalyticClassPresentation:
     """A degree-p class of order q: C^0 is (w/q) times a product of unit
     chart jumps along consecutive index pairs, one periodic coordinate per
     factor, and every higher component vanishes.  Exactly rational."""
-    q, w = int(q), int(w)
+    q, w, degree = _integer("q", q), _integer("w", w), _integer("degree", degree)
     if q <= 0:
         raise AnalyticError("torsion order must be positive")
     n_periodic = sum(1 for p_ in geom.periodic if p_)
@@ -572,6 +578,7 @@ def torsion_class(
 
 
 def zero_class(geom: ChartedGeometry, degree: int) -> AnalyticClassPresentation:
+    degree = _integer("degree", degree)
     return AnalyticClassPresentation(
         label=f"zero(degree={degree})",
         degree=degree,

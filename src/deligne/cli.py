@@ -1,20 +1,22 @@
 """Batch front end over the library operations.
 
-Every subcommand is a thin shell: load artifacts, call one or two module
-operations, emit a canonical-JSON report (or ``--format text``).  Exit
-status: 0 on success, 2 when a tolerance check fails, 1 on usage or
-schema errors.  Reports are byte-identical for identical inputs, config,
-and seed.
+Every subcommand is a thin shell: load artifacts, call the library, write
+its results into a canonical-JSON report (or ``--format text``).  Exit
+status: 0 on success, 2 when a tolerance check fails (the library raises
+a ToleranceError, or a reported validation fails), 1 on usage or schema
+errors.  Reports are byte-identical for identical inputs, config, and
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from ._scalars import wrap_distance
+from ._scalars import exceeds, wrap_distance
 from .analytic import (
     AnalyticClassPresentation,
     cup_product,
@@ -25,9 +27,9 @@ from .analytic import (
     winding_function,
     zero_class,
 )
-from .cochain import glue_cochains, exact_shift, validate_cocycle
-from .cover import default_index_map, random_index_map
-from .errors import DeligneError, HolonomyError, ToleranceError
+from .cochain import DeligneCochain, glue_cochains, exact_shift, validate_cocycle
+from .cover import CoveredComplex, default_index_map, random_index_map
+from .errors import DeligneError, ToleranceError
 from .geometry import (
     ChartedGeometry,
     get_geometry,
@@ -41,6 +43,7 @@ from .io import (
     load_complex,
     load_cover,
     load_index_map,
+    matching_from_json,
     read_json,
     save_cochain,
     save_complex,
@@ -67,24 +70,9 @@ class _UsageError(Exception):
     pass
 
 
-class _ToleranceFailure(Exception):
-    def __init__(self, report: dict):
-        super().__init__("tolerance breach")
-        self.report = report
-
-
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tolerance", type=float, default=1e-9)
-    common.add_argument(
-        "--quad-order",
-        type=int,
-        default=8,
-        help=(
-            "an integer >= 1, echoed under config; integration is exact, so "
-            "it has no effect on values"
-        ),
-    )
     common.add_argument("--seed", type=int, default=None)
     common.add_argument(
         "--arithmetic", choices=("float", "rational"), default="float"
@@ -171,35 +159,19 @@ def _build_parser() -> _Parser:
 def _config_dict(args) -> dict:
     return {
         "arithmetic": args.arithmetic,
-        "quad_order": args.quad_order,
         "seed": 0 if args.seed is None else args.seed,
         "tolerance": args.tolerance,
     }
 
 
-def _check_quad_order(value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise _UsageError(f"quad_order must be an integer >= 1, got {value!r}")
+def _load(complex_path: str, cover_path: str, cochain_path: str) -> DeligneCochain:
+    """The cochain of an artifact triple; its cover and complex hang off it."""
+    K = load_complex(complex_path)
+    return load_cochain(cochain_path, load_cover(cover_path, K))
 
 
-def _load_triple(args):
-    K = load_complex(args.complex)
-    C = load_cover(args.cover, K)
-    c = load_cochain(args.cochain, C)
-    return K, C, c
-
-
-def _validated(c, args) -> dict:
+def _validation(c: DeligneCochain, args) -> dict:
     report = validate_cocycle(c, tol=args.tolerance)
-    doc = _validation_dict(report)
-    if not report.passed:
-        raise _ToleranceFailure(
-            {"validation": doc, "error": "cocycle conditions fail"}
-        )
-    return doc
-
-
-def _validation_dict(report) -> dict:
     return {
         "arithmetic": "rational" if report.exact else "float",
         "checked": {str(k): n for k, n in sorted(report.checked.items())},
@@ -219,7 +191,14 @@ def _validation_dict(report) -> dict:
     }
 
 
-def _resolve_index_map(spec: str, C, args, stream: int = 0):
+def _validated(c: DeligneCochain, args, report: dict) -> None:
+    """Report c's validation; a cochain that fails it goes no further."""
+    report["validation"] = _validation(c, args)
+    if not report["validation"]["passed"]:
+        raise ToleranceError("cocycle conditions fail")
+
+
+def _resolve_index_map(spec: str, C: CoveredComplex, args, stream: int = 0):
     if spec == "default":
         return default_index_map(C)
     if spec == "random":
@@ -263,10 +242,6 @@ def _transition_dict(value) -> dict:
     return doc
 
 
-def _breach(residual, tol: float, exact: bool) -> bool:
-    return residual != 0 if exact else float(residual) > tol
-
-
 def _parse_params(chunks: List[str]) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for chunk in chunks:
@@ -298,73 +273,49 @@ def _parse_value(raw: str):
         raise _UsageError(f"cannot parse parameter value {raw!r}")
 
 
-_FIXTURE_DEFAULT_GEOMETRY = {
-    "flat_circle": "circle-2arc",
-    "winding_function": "circle-3arc",
-    "monopole": "sphere-octahedron-2chart",
-    "zero": "circle-2arc",
+class _Fixture(NamedTuple):
+    build: Callable[..., AnalyticClassPresentation]
+    required: str
+    geometry: str
+    # Default geometry by the "degree" parameter (None: not given).
+    by_degree: Mapping[object, str] = {}
+
+
+_FIXTURES = {
+    "flat_circle": _Fixture(flat_circle, "theta", "circle-2arc"),
+    "winding_function": _Fixture(winding_function, "w", "circle-3arc"),
+    "monopole": _Fixture(monopole, "k", "sphere-octahedron-2chart"),
+    "torsion": _Fixture(
+        torsion_class,
+        "q",
+        "torus3-8chart",
+        {None: "circle-3arc", 1: "circle-3arc", 2: "torus2-4chart"},
+    ),
+    "zero": _Fixture(zero_class, "degree", "circle-2arc"),
 }
-
-
-def _torsion_default_geometry(degree: int) -> str:
-    return {1: "circle-3arc", 2: "torus2-4chart", 3: "torus3-8chart"}.get(
-        degree, "torus3-8chart"
-    )
 
 
 def build_fixture(
     name: str,
-    geometry: Optional[str],
     params: Dict[str, object],
+    geometry: Optional[str],
     exact: bool,
 ) -> Tuple[AnalyticClassPresentation, ChartedGeometry]:
-    """Shared fixture factory for the fixture and cup subcommands."""
-    params = dict(params)
-    if name == "torsion":
-        degree = int(params.get("degree", 1))
-        geom_name = geometry or _torsion_default_geometry(degree)
-    else:
-        if name not in _FIXTURE_DEFAULT_GEOMETRY:
-            raise _UsageError(
-                f"unknown fixture {name!r}; known: flat_circle, "
-                "winding_function, monopole, torsion, zero"
-            )
-        geom_name = geometry or _FIXTURE_DEFAULT_GEOMETRY[name]
-    geom = get_geometry(geom_name)
-    if name == "flat_circle":
-        if "theta" not in params:
-            raise _UsageError("flat_circle needs --params theta=...")
-        pres = flat_circle(geom, params.pop("theta"), exact=exact)
-    elif name == "winding_function":
-        if "w" not in params:
-            raise _UsageError("winding_function needs --params w=...")
-        pres = winding_function(
-            geom,
-            params.pop("w"),
-            coord=int(params.pop("coord", 0)),
-            offset=params.pop("offset", 0),
-            exact=exact,
-        )
-    elif name == "monopole":
-        if "k" not in params:
-            raise _UsageError("monopole needs --params k=...")
-        pres = monopole(geom, params.pop("k"))
-    elif name == "torsion":
-        if "q" not in params:
-            raise _UsageError("torsion needs --params q=...")
-        pres = torsion_class(
-            geom,
-            params.pop("q"),
-            int(params.pop("w", 1)),
-            int(params.pop("degree", 1)),
-        )
-    else:  # zero
-        if "degree" not in params:
-            raise _UsageError("zero needs --params degree=...")
-        pres = zero_class(geom, int(params.pop("degree")))
-    if params:
-        raise _UsageError(f"unknown parameters for {name}: {sorted(params)}")
-    return pres, geom
+    """Shared fixture factory for the fixture and cup subcommands: the
+    parameters are the constructor's keywords, arithmetic aside."""
+    if name not in _FIXTURES:
+        raise _UsageError(f"unknown fixture {name!r}; known: {', '.join(_FIXTURES)}")
+    fx = _FIXTURES[name]
+    if fx.required not in params:
+        raise _UsageError(f"{name} needs --params {fx.required}=...")
+    accepted = inspect.signature(fx.build).parameters
+    unknown = sorted(k for k in params if k not in accepted or k in ("geom", "exact"))
+    if unknown:
+        raise _UsageError(f"unknown parameters for {name}: {unknown}")
+    geom = get_geometry(geometry or fx.by_degree.get(params.get("degree"), fx.geometry))
+    if "exact" in accepted:
+        params = dict(params, exact=exact)
+    return fx.build(geom, **params), geom
 
 
 def _parse_operand(spec: str) -> Tuple[str, Dict[str, object]]:
@@ -374,46 +325,61 @@ def _parse_operand(spec: str) -> Tuple[str, Dict[str, object]]:
     return spec, {}
 
 
-def _write_geometry_files(geom: ChartedGeometry, prefix: str) -> List[str]:
+def _write_artifacts(
+    prefix: str, C: CoveredComplex, c: Optional[DeligneCochain] = None
+) -> List[str]:
+    """Save C's complex and cover, and c if given, as ``prefix.<part>.json``."""
     paths = [f"{prefix}.complex.json", f"{prefix}.cover.json"]
-    save_complex(geom.covered.complex, paths[0])
-    save_cover(geom.covered, paths[1])
+    save_complex(C.complex, paths[0])
+    save_cover(C, paths[1])
+    if c is not None:
+        paths.append(f"{prefix}.cochain.json")
+        save_cochain(c, paths[2])
     return paths
+
+
+def _report_class(
+    pres: AnalyticClassPresentation, geom: ChartedGeometry, key: str, args, report: dict
+) -> None:
+    """Discretize a class, report it under ``key`` with its validation, and
+    save its artifacts under --output."""
+    cochain = discretize(pres, exact=args.arithmetic == "rational")
+    report[key] = {
+        "degree": pres.degree,
+        "entries": sum(1 for _ in cochain.entries()),
+        "geometry": geom.name,
+        "label": pres.label,
+    }
+    report["validation"] = _validation(cochain, args)
+    if args.output:
+        report["files"] = sorted(_write_artifacts(args.output, geom.covered, cochain))
 
 
 # -- commands ------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> Tuple[int, dict]:
-    _, _, c = _load_triple(args)
-    report = validate_cocycle(c, tol=args.tolerance)
-    doc = _validation_dict(report)
-    return (0 if report.passed else 2), {"validation": doc}
+def _cmd_validate(args, report: dict) -> None:
+    report["validation"] = _validation(_load(args.complex, args.cover, args.cochain), args)
 
 
-def _cmd_holonomy(args) -> Tuple[int, dict]:
-    _, C, c = _load_triple(args)
-    validation = _validated(c, args)
-    rho = _resolve_index_map(args.index_map, C, args)
-    value = holonomy(c, rho)
-    return 0, {"holonomy": _holonomy_dict(value), "validation": validation}
+def _cmd_holonomy(args, report: dict) -> None:
+    c = _load(args.complex, args.cover, args.cochain)
+    _validated(c, args, report)
+    rho = _resolve_index_map(args.index_map, c.base, args)
+    report["holonomy"] = _holonomy_dict(holonomy(c, rho))
 
 
-def _cmd_transgress(args) -> Tuple[int, dict]:
-    _, C, c = _load_triple(args)
+def _cmd_transgress(args, report: dict) -> None:
+    c = _load(args.complex, args.cover, args.cochain)
     if args.boundary_formula and c.degree != 2:
         raise _UsageError(f"--boundary-formula needs a degree-2 cochain, got {c.degree}")
-    validation = _validated(c, args)
-    rho0 = _resolve_index_map(args.rho0, C, args, stream=0)
-    rho1 = _resolve_index_map(args.rho1, C, args, stream=1)
-    result: dict = {"validation": validation}
+    _validated(c, args, report)
+    rho0 = _resolve_index_map(args.rho0, c.base, args, stream=0)
+    rho1 = _resolve_index_map(args.rho1, c.base, args, stream=1)
     if args.rho2 is not None:
-        rho2 = _resolve_index_map(args.rho2, C, args, stream=2)
-        try:
-            triple = transgress_p3_triple(c, rho0, rho1, rho2, tol=args.tolerance)
-        except ToleranceError as e:
-            raise _ToleranceFailure(dict(result, error=str(e))) from None
-        result["triple"] = {
+        rho2 = _resolve_index_map(args.rho2, c.base, args, stream=2)
+        triple = transgress_p3_triple(c, rho0, rho1, rho2, tol=args.tolerance)
+        report["triple"] = {
             "display_agreement": scalar_to_json(triple.display_agreement),
             "display_raw": scalar_to_json(triple.display_raw),
             "integer_residual": scalar_to_json(triple.integer_residual),
@@ -423,200 +389,110 @@ def _cmd_transgress(args) -> Tuple[int, dict]:
             "telescoped": scalar_to_json(triple.telescoped),
             "units": "turns" if triple.exact else "radians",
         }
-        return 0, result
+        return
     general = transition_general(c, rho0, rho1)
     boundary = transition_boundary(c, rho0, rho1)
     residual = wrap_distance(general.raw, boundary.raw, c.exact)
-    result["general"] = _transition_dict(general)
-    result["boundary"] = _transition_dict(boundary)
-    result["agreement_residual"] = scalar_to_json(residual)
+    report["general"] = _transition_dict(general)
+    report["boundary"] = _transition_dict(boundary)
+    report["agreement_residual"] = scalar_to_json(residual)
     if args.boundary_formula:
-        try:
-            special = transition_p2_boundary(c, rho0, rho1, tol=args.tolerance)
-        except ToleranceError as e:
-            raise _ToleranceFailure(dict(result, error=str(e))) from None
-        result["boundary_formula"] = _transition_dict(special)
-    if _breach(residual, args.tolerance, c.exact):
-        raise _ToleranceFailure(
-            dict(result, error="boundary route disagrees with the general route")
-        )
-    return 0, result
+        special = transition_p2_boundary(c, rho0, rho1, tol=args.tolerance)
+        report["boundary_formula"] = _transition_dict(special)
+    if exceeds(residual, args.tolerance, c.exact):
+        raise ToleranceError("boundary route disagrees with the general route")
 
 
-def _cmd_cup(args) -> Tuple[int, dict]:
+def _cmd_cup(args, report: dict) -> None:
     exact = args.arithmetic == "rational"
-    lname, lparams = _parse_operand(args.lhs)
-    rname, rparams = _parse_operand(args.rhs)
-    lhs, geom = build_fixture(lname, args.geometry, lparams, exact)
-    rhs, _ = build_fixture(rname, args.geometry, rparams, exact)
+    lhs, geom = build_fixture(*_parse_operand(args.lhs), args.geometry, exact)
+    rhs, _ = build_fixture(*_parse_operand(args.rhs), args.geometry, exact)
     product = cup_product(lhs, rhs)
-    cochain = discretize(product, exact=exact)
-    report = validate_cocycle(cochain, tol=args.tolerance)
-    result = {
-        "cup": {
-            "degree": product.degree,
-            "entries": sum(1 for _ in cochain.entries()),
-            "geometry": geom.name,
-            "kind": product.kind,
-            "label": product.label,
-        },
-        "validation": _validation_dict(report),
-    }
-    if args.output:
-        paths = _write_geometry_files(geom, args.output)
-        cpath = f"{args.output}.cochain.json"
-        save_cochain(cochain, cpath)
-        result["files"] = sorted(paths + [cpath])
-    return (0 if report.passed else 2), result
+    _report_class(product, geom, "cup", args, report)
+    report["cup"]["kind"] = product.kind
 
 
-def _cmd_fixture(args) -> Tuple[int, dict]:
-    exact = args.arithmetic == "rational"
-    name = args.name
-    geometry = args.geometry
-    params = _parse_params(args.params)
+def _cmd_fixture(args, report: dict) -> None:
+    name, geometry, params = args.name, args.geometry, _parse_params(args.params)
     if args.request is not None:
         doc = read_json(args.request)
         if not isinstance(doc, dict) or "fixture" not in doc:
             raise SchemaError("fixture request file needs a fixture name")
+        if not isinstance(doc.get("params", {}), dict):
+            raise SchemaError("fixture request params must be an object")
         name = doc["fixture"]
         geometry = doc.get("geometry", geometry)
         params = {**doc.get("params", {}), **params}
-        if "quad_order" in doc:
-            _check_quad_order(doc["quad_order"])
     if name is None:
         raise _UsageError("fixture needs a name or --request file")
-    pres, geom = build_fixture(name, geometry, params, exact)
-    cochain = discretize(pres, exact=exact)
-    report = validate_cocycle(cochain, tol=args.tolerance)
-    result = {
-        "fixture": {
-            "degree": pres.degree,
-            "entries": sum(1 for _ in cochain.entries()),
-            "geometry": geom.name,
-            "label": pres.label,
-        },
-        "validation": _validation_dict(report),
-    }
-    if args.output:
-        paths = _write_geometry_files(geom, args.output)
-        cpath = f"{args.output}.cochain.json"
-        save_cochain(cochain, cpath)
-        result["files"] = sorted(paths + [cpath])
-    return (0 if report.passed else 2), result
+    pres, geom = build_fixture(name, params, geometry, args.arithmetic == "rational")
+    _report_class(pres, geom, "fixture", args, report)
 
 
-def _cmd_shift(args) -> Tuple[int, dict]:
-    _, C, c = _load_triple(args)
-    b = load_cochain(args.shift_by, C)
-    shifted = exact_shift(c, b)
-    result = {
-        "shift": {
-            "degree": shifted.degree,
-            "entries": sum(1 for _ in shifted.entries()),
-        }
+def _cmd_shift(args, report: dict) -> None:
+    c = _load(args.complex, args.cover, args.cochain)
+    shifted = exact_shift(c, load_cochain(args.shift_by, c.base))
+    report["shift"] = {
+        "degree": shifted.degree,
+        "entries": sum(1 for _ in shifted.entries()),
     }
     if args.output:
         save_cochain(shifted, args.output)
-        result["files"] = [args.output]
-    return 0, result
+        report["files"] = [args.output]
 
 
-def _cmd_curvature(args) -> Tuple[int, dict]:
-    K, C, c = _load_triple(args)
-    validation = _validated(c, args)
-    rho = _resolve_index_map(args.index_map, C, args)
-    if K.dim != c.degree + 1 or not K.closed:
-        raise _UsageError(
-            "curvature totals need a closed complex of dimension degree+1"
-        )
-    try:
-        value = curvature_total(c, rho, tol=args.tolerance)
-    except HolonomyError as e:
-        raise _ToleranceFailure(
-            {"error": str(e), "validation": validation}
-        ) from None
-    result = {
-        "curvature": {
-            "multiple": value.multiple,
-            "residual": scalar_to_json(value.residual),
-            "total": scalar_to_json(value.total),
-            "units": "turns" if value.exact else "radians",
-        },
-        "validation": validation,
+def _cmd_curvature(args, report: dict) -> None:
+    c = _load(args.complex, args.cover, args.cochain)
+    _validated(c, args, report)
+    rho = _resolve_index_map(args.index_map, c.base, args)
+    value = curvature_total(c, rho, tol=args.tolerance)
+    report["curvature"] = {
+        "multiple": value.multiple,
+        "residual": scalar_to_json(value.residual),
+        "total": scalar_to_json(value.total),
+        "units": "turns" if value.exact else "radians",
     }
-    return 0, result
 
 
-def _cmd_glue(args) -> Tuple[int, dict]:
-    K1 = load_complex(args.complex1)
-    C1 = load_cover(args.cover1, K1)
-    c1 = load_cochain(args.cochain1, C1)
-    K2 = load_complex(args.complex2)
-    C2 = load_cover(args.cover2, K2)
-    c2 = load_cochain(args.cochain2, C2)
-    doc = read_json(args.matching)
-    if not isinstance(doc, dict):
-        raise SchemaError("matching file must map K2 vertices to K1 vertices")
-    matching = {}
-    for key, val in doc.items():
-        try:
-            matching[int(key)] = int(val)
-        except (TypeError, ValueError):
-            raise SchemaError(f"bad matching pair {key!r}: {val!r}") from None
-    glued, relabel = glue_cochains(c1, c2, matching)
+def _cmd_glue(args, report: dict) -> None:
+    c1 = _load(args.complex1, args.cover1, args.cochain1)
+    c2 = _load(args.complex2, args.cover2, args.cochain2)
+    matching = matching_from_json(read_json(args.matching))
+    glued, _ = glue_cochains(c1, c2, matching)
     K = glued.base.complex
-    result = {
-        "glue": {
-            "dim": K.dim,
-            "entries": sum(1 for _ in glued.entries()),
-            "seam_vertices": len(matching),
-            "tops": len(K.tops),
-            "vertices": len(K.vertices),
-        }
+    report["glue"] = {
+        "dim": K.dim,
+        "entries": sum(1 for _ in glued.entries()),
+        "seam_vertices": len(matching),
+        "tops": len(K.tops),
+        "vertices": len(K.vertices),
     }
     if args.output:
-        paths = [
-            f"{args.output}.complex.json",
-            f"{args.output}.cover.json",
-            f"{args.output}.cochain.json",
-        ]
-        save_complex(K, paths[0])
-        save_cover(glued.base, paths[1])
-        save_cochain(glued, paths[2])
-        result["files"] = paths
-    return 0, result
+        report["files"] = _write_artifacts(args.output, glued.base, glued)
 
 
-def _cmd_subdivide(args) -> Tuple[int, dict]:
+def _cmd_subdivide(args, report: dict) -> None:
     if args.geometry is not None:
-        geom = get_geometry(args.geometry)
-        fine = subdivide_geometry(geom)
+        fine = subdivide_geometry(get_geometry(args.geometry))
         K2 = fine.covered.complex
-        result = {
-            "subdivide": {
-                "geometry": args.geometry,
-                "tops": len(K2.tops),
-                "vertices": len(K2.vertices),
-            }
-        }
-        if args.output:
-            result["files"] = _write_geometry_files(fine, args.output)
-        return 0, result
-    if args.complex is None:
-        raise _UsageError("subdivide needs a complex file or --geometry")
-    K = load_complex(args.complex)
-    K2, _ = barycentric_subdivide(K)
-    result = {
-        "subdivide": {
+        report["subdivide"] = {
+            "geometry": args.geometry,
             "tops": len(K2.tops),
             "vertices": len(K2.vertices),
         }
+        if args.output:
+            report["files"] = _write_artifacts(args.output, fine.covered)
+        return
+    if args.complex is None:
+        raise _UsageError("subdivide needs a complex file or --geometry")
+    K2, _ = barycentric_subdivide(load_complex(args.complex))
+    report["subdivide"] = {
+        "tops": len(K2.tops),
+        "vertices": len(K2.vertices),
     }
     if args.output:
         save_complex(K2, args.output)
-        result["files"] = [args.output]
-    return 0, result
+        report["files"] = [args.output]
 
 
 _COMMANDS = {
@@ -674,16 +550,15 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"deligne: {e}", file=sys.stderr)
         return 1
-    envelope = {"command": args.command, "config": _config_dict(args)}
+    report = {"command": args.command, "config": _config_dict(args)}
     try:
-        _check_quad_order(args.quad_order)
         try:
-            code, result = _COMMANDS[args.command](args)
-            envelope.update(result)
-        except _ToleranceFailure as e:
-            envelope.update(e.report)
+            _COMMANDS[args.command](args, report)
+            code = 0 if report.get("validation", {}).get("passed", True) else 2
+        except ToleranceError as e:
+            report["error"] = str(e)
             code = 2
-        _emit(envelope, args)
+        _emit(report, args)
     except (
         _UsageError, DeligneError, OSError, TypeError, ValueError, ZeroDivisionError
     ) as e:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import isfinite, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ._scalars import TWO_PI, Scalar, coerce, integer_residual, tree_sum, zero
+from ._scalars import TWO_PI, Scalar, coerce, exceeds, integer_residual, tree_sum, zero
 from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
@@ -84,9 +84,6 @@ class DeligneCochain:
         """Stored nonzero entries in canonical (k, simplex, indices) order."""
         for k, s, idx in sorted(self._data):
             yield k, s, idx, self._data[(k, s, idx)]
-
-    def index_length(self, k: int) -> int:
-        return self.degree - k + 1
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
@@ -302,7 +299,6 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     p = c.degree
     K = c.base.complex
     exact = c.exact
-    threshold = 0 if exact else tol
     (values,), scale = _scaled(exact, c)
     worst: Dict[int, Scalar] = {}
     checked: Dict[int, int] = {}
@@ -317,7 +313,7 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
             count += 1
             if _worse(residual, top):
                 top = residual
-            if not (residual <= threshold):
+            if exceeds(residual, tol, exact):
                 failing.append(FailedCondition(0, v, J, residual, n))
     worst[0] = top
     checked[0] = count
@@ -333,7 +329,7 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
                 count += 1
                 if _worse(residual, top):
                     top = residual
-                if not (residual <= threshold):
+                if exceeds(residual, tol, exact):
                     failing.append(FailedCondition(k, s, J, residual))
         worst[k] = top
         checked[k] = count
@@ -441,7 +437,6 @@ def verify_trivialization(
     p = c.degree
     K = c.base.complex
     exact = c.exact
-    threshold = 0 if exact else tol
     (cv, bv), scale = _scaled(exact, c, b)
     lower_worst: Dict[int, Scalar] = {}
     lower_failing: List[FailedCondition] = []
@@ -453,7 +448,7 @@ def verify_trivialization(
                 residual = _residual(cv.get((k, s, J), 0) - shifted, scale, exact)
                 if _worse(residual, top):
                     top = residual
-                if not (residual <= threshold):
+                if exceeds(residual, tol, exact):
                     lower_failing.append(FailedCondition(k, s, J, residual))
         lower_worst[k] = top
 
@@ -470,7 +465,7 @@ def verify_trivialization(
             gap = abs(v - values[0])
             if _worse(gap, spread):
                 spread = gap
-            if not (abs(v) <= threshold):
+            if exceeds(abs(v), tol, exact):
                 ok = False
     return TrivializationReport(
         degree=p,
@@ -514,13 +509,12 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
     p = c.degree
     K = c.base.complex
     exact = c.exact
-    threshold = 0 if exact else tol
     (values,), scale = _scaled(exact, c)
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
     for v in K.simplices(0):
         for J in c.base.multi_indices(v, p + 2):
             n, residual = _nearest_turn(_delta(values, exact, 0, v, J), scale, exact)
-            if not (residual <= threshold):
+            if exceeds(residual, tol, exact):
                 raise CochainError(
                     f"integrality violation at {v} {J}: residual {residual} turns"
                 )

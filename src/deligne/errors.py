@@ -25,9 +25,18 @@ class TransgressionError(DeligneError):
     """Transgression precondition or internal consistency failure."""
 
 
-class ToleranceError(TransgressionError):
-    """Two routes of one transgression, or a sum and its integer, disagree
-    by more than the tolerance; the input itself was acceptable."""
+class ToleranceError(DeligneError):
+    """A computed residual exceeds the tolerance (two routes, a sum and its
+    integer, or a value and its chart choice disagree); the input itself
+    was acceptable.  The CLI exits 2 on it and 1 on every other error."""
+
+
+class TransitionToleranceError(ToleranceError, TransgressionError):
+    """A transgression route or integrality residual exceeds the tolerance."""
+
+
+class ChartSpreadError(ToleranceError, HolonomyError):
+    """A top's curvature depends on its evaluating chart beyond the tolerance."""
 
 
 class AnalyticError(DeligneError):

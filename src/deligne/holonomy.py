@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from ._scalars import Scalar, integer_residual, tree_sum, wrap
+from ._scalars import Scalar, exceeds, integer_residual, tree_sum, wrap
 from .cochain import DeligneCochain, Term, _word_sums, discrete_d
 from .cover import CoveredComplex, IndexMap
-from .errors import HolonomyError
+from .errors import ChartSpreadError, HolonomyError
 from .simplicial import Simplex
 
 
@@ -138,10 +138,10 @@ def curvature_total(
     """Sum of d C^p over the tops of a closed oriented (p+1)-complex.
 
     Each top contributes with its stored orientation.  The value per top
-    must not depend on which admissible chart evaluates it; that spread is
-    asserted within tol (exactly in exact mode).  For a cocycle the total
-    is a multiple of a full turn; the nearest multiple and its residual
-    are reported, not enforced.
+    must not depend on which admissible chart evaluates it; a spread beyond
+    tol (any spread in exact mode) raises ChartSpreadError.  For a cocycle
+    the total is a multiple of a full turn; the nearest multiple and its
+    residual are reported, not enforced.
     """
     K = c.base.complex
     if K.dim != c.degree + 1:
@@ -151,13 +151,12 @@ def curvature_total(
     if not K.closed:
         raise HolonomyError("curvature total needs a closed oriented complex")
     check_index_map(c.base, rho)
-    threshold = 0 if c.exact else tol
     per: dict = {}
     for t in K.tops:
         values = [discrete_d(c, t, (a,)) for a in c.base.admissible_of(t)]
         gaps = [abs(v - values[0]) for v in values]
-        if not all(gap <= threshold for gap in gaps):
-            raise HolonomyError(
+        if any(exceeds(gap, tol, c.exact) for gap in gaps):
+            raise ChartSpreadError(
                 f"curvature of {t} depends on the chart choice (spread {max(gaps)})"
             )
         per[t] = K.orientation(t) * discrete_d(c, t, (rho(t),))

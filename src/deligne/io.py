@@ -1,4 +1,5 @@
-"""Canonical JSON artifacts: complexes, covers, index maps, cochains.
+"""Canonical JSON artifacts: complexes, covers, index maps, cochains and
+vertex matchings.
 
 One encoding rule writes every artifact and every CLI report:
 :func:`dumps_canonical` normalises the document (string keys only,
@@ -26,7 +27,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Tuple
 
 from ._scalars import Scalar
 from .cochain import DeligneCochain, build_cochain
@@ -318,6 +319,9 @@ def cochain_from_json(doc, C: CoveredComplex) -> DeligneCochain:
     if arithmetic not in ("float", "rational"):
         raise SchemaError(f"unknown arithmetic {arithmetic!r}")
     exact = arithmetic == "rational"
+    if type(doc["entries"]) is not list:
+        kind = type(doc["entries"]).__name__
+        raise SchemaError(f"cochain entries must be an array, got {kind}")
     K = C.complex
     entries = []
     for e in doc["entries"]:
@@ -340,3 +344,17 @@ def save_cochain(c: DeligneCochain, path: str) -> None:
 
 def load_cochain(path: str, C: CoveredComplex) -> DeligneCochain:
     return cochain_from_json(read_json(path), C)
+
+
+# -- vertex matchings ------------------------------------------------------------------
+
+
+def matching_from_json(doc) -> Dict[int, int]:
+    """A gluing's vertex matching: canonical-decimal keys (vertices of the
+    second complex) to JSON integers (vertices of the first)."""
+    if not isinstance(doc, dict):
+        raise SchemaError("matching file must map K2 vertices to K1 vertices")
+    for key in doc:
+        if not _DECIMAL.fullmatch(key):
+            raise SchemaError(f"matching key {key!r} is not a canonical decimal")
+    return {int(key): _json_int(val, f"match of vertex {key}") for key, val in doc.items()}

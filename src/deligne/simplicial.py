@@ -181,12 +181,6 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(self._by_dim[k]) for k in range(self.dim + 1))
 
-    def induced_boundary_orientation(self, tau: Simplex) -> int:
-        try:
-            return self.boundary_facets[tau]
-        except KeyError:
-            raise ComplexError(f"{tau} is not a boundary facet")
-
     # -- flags -------------------------------------------------------------
 
     def flags(self, q: int) -> Tuple[Flag, ...]:

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ._scalars import Scalar, integer_residual, wrap, wrap_distance
+from ._scalars import Scalar, exceeds, integer_residual, wrap, wrap_distance
 from .cochain import DeligneCochain, Term
 from .cover import IndexMap
-from .errors import ToleranceError, TransgressionError
+from .errors import TransgressionError, TransitionToleranceError
 from .holonomy import _action_words, _FlagSums
 from .simplicial import Flag, SimplicialComplex, boundary_restrict, facets_of
 
@@ -138,9 +138,8 @@ def transition_p2_boundary(
         *_action_words(c, rho0),
     )
     agreement = wrap_distance(raw, sums.difference(levels), c.exact)
-    threshold = 0 if c.exact else tol
-    if agreement > threshold:
-        raise ToleranceError(
+    if exceeds(agreement, tol, c.exact):
+        raise TransitionToleranceError(
             f"boundary formula disagrees with the defining difference by {agreement}"
         )
     return TransitionValue(
@@ -208,15 +207,14 @@ def transgress_p3_triple(
     telescoped = sums.finite((a1 - a0) + (a2 - a1) - (a2 - a0))
     combo = sums.finite(s01 + s12 - s02)
     witness, residual = integer_residual(combo, c.exact)
-    threshold = 0 if c.exact else tol
-    if residual > threshold:
-        raise ToleranceError(
+    if exceeds(residual, tol, c.exact):
+        raise TransitionToleranceError(
             f"surface composition missed 2-pi integrality by {residual}"
         )
 
     agreement = wrap_distance(display, combo, c.exact)
-    if agreement > threshold:
-        raise ToleranceError(
+    if exceeds(agreement, tol, c.exact):
+        raise TransitionToleranceError(
             f"edge/vertex word sum disagrees with the composition by {agreement}"
         )
     return TripleTransgressionValue(

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report schema, byte determinism."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import deligne
 from deligne import (
+    attach_cover,
     build_cochain,
     build_complex,
     default_index_map,
@@ -26,7 +28,7 @@ from deligne import (
     zero_cochain,
 )
 from deligne._scalars import TWO_PI
-from deligne.cli import main
+from deligne.cli import _FIXTURES, main
 from deligne.io import dumps_canonical, read_json, write_canonical
 
 
@@ -121,20 +123,6 @@ def test_fixture_request_file_with_param_override(capsys, tmp_path):
         capsys, "fixture", "--request", str(req), "--params", "theta=0.5"
     )
     assert code == 0
-
-    # quad_order must be an integer >= 1 from the file and the flag alike.
-    for quad_order, expected in ((3, 0), (0, 1), (True, 1), (2.5, 1), ("8", 1)):
-        write_canonical(
-            str(req),
-            {"fixture": "torsion", "params": {"q": 5}, "quad_order": quad_order},
-        )
-        code, _, err = run(capsys, "fixture", "--request", str(req))
-        assert code == expected, (quad_order, err)
-    for name, params in (("torsion", "q=5"), ("monopole", "k=1")):
-        code, _, err = run(
-            capsys, "fixture", name, "--params", params, "--quad-order", "0"
-        )
-        assert code == 1 and "quad_order" in err
 
 
 def test_fraction_parameters_accepted_in_float_mode(capsys, tmp_path):
@@ -451,6 +439,32 @@ def test_glue_two_intervals_into_circle(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "matching",
+    [{"0": 2.0, "2": 0}, {"0": 2, "2": True}, {"0": 2, "2": 0, "02": 0}, {"0": 2, "+2": 0}],
+)
+def test_glue_refuses_non_canonical_matching(capsys, tmp_path, matching):
+    K = build_complex([(0, 1), (1, 2)])
+    C = star_cover(K)
+    a = [str(tmp_path / f"a.{part}.json") for part in ("complex", "cover", "cochain")]
+    save_complex(K, a[0])
+    save_cover(C, a[1])
+    save_cochain(zero_cochain(C, 1, exact=True), a[2])
+    path = str(tmp_path / "match.json")
+    write_canonical(path, matching)
+    code, out, err = run(capsys, "glue", *a, *a, "--matching", path)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "match" in err
+
+
+def test_cochain_entries_not_an_array_exits_1(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="ent")
+    write_canonical(paths[2], {"degree": 1, "entries": 5})
+    code, out, err = run(capsys, "validate", *paths)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "entries must be an array" in err
+
+
 def test_subdivide_complex_file(capsys, tmp_path):
     src = str(tmp_path / "two.json")
     out = str(tmp_path / "fine.json")
@@ -654,6 +668,87 @@ def test_cli_import_leaves_numpy_unloaded():
         check=True,
         timeout=60,
     )
+
+
+def _integer_parameters(build):
+    """The constructor parameters annotated ``int``."""
+    params = inspect.signature(build).parameters.values()
+    return [p.name for p in params if p.annotation in (int, "int")]
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURES))
+def test_every_fixture_runs_and_refuses_fractional_integers(capsys, name):
+    """Given only its required parameter, each registered fixture runs on
+    its default geometry; any integer parameter given as 1.5 exits 1."""
+    fx = _FIXTURES[name]
+    code, doc, err = run_json(capsys, "fixture", name, "--params", f"{fx.required}=1")
+    assert code == 0, err
+    assert doc["fixture"]["geometry"] == fx.by_degree.get(None, fx.geometry)
+    for param in _integer_parameters(fx.build):
+        params = {fx.required: 1, param: 1.5}
+        spec = ",".join(f"{k}={v}" for k, v in params.items())
+        code, out, err = run(capsys, "fixture", name, "--params", spec)
+        assert code == 1 and out == "", spec
+        assert f"{param} must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("winding_function", "--params", "w=1.5"),
+        ("winding_function", "--params", "w=1,coord=0.5"),
+        ("torsion", "--params", "q=5.9,degree=1.2"),
+        ("torsion", "--params", "q=5,w=2.5"),
+        ("monopole", "--params", "k=2.5"),
+        ("zero", "--params", "degree=1.5"),
+    ],
+)
+def test_fixture_refuses_non_integer_parameters(capsys, argv):
+    code, out, err = run(capsys, "fixture", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "request_doc, named",
+    [
+        ({"fixture": "winding_function", "params": {"w": True}}, "w must be an integer"),
+        ({"fixture": "winding_function", "params": {"w": 1, "coord": "0"}}, "coord"),
+        ({"fixture": "torsion", "params": {"q": "5"}}, "q must be an integer"),
+        ({"fixture": "zero", "params": {"degree": 1.0}}, "degree must be an integer"),
+        ({"fixture": "torsion", "params": [5]}, "params must be an object"),
+        ({"fixture": "torsion", "params": "q=5"}, "params must be an object"),
+    ],
+)
+def test_fixture_request_file_refuses_bad_params(capsys, tmp_path, request_doc, named):
+    req = str(tmp_path / "req.json")
+    write_canonical(req, request_doc)
+    code, out, err = run(capsys, "fixture", "--request", req)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and named in err
+
+
+def test_quad_order_is_gone(capsys):
+    code, doc, _ = run_json(capsys, "fixture", "torsion", "--params", "q=5")
+    assert code == 0 and sorted(doc["config"]) == ["arithmetic", "seed", "tolerance"]
+    code, out, err = run(
+        capsys, "fixture", "torsion", "--params", "q=5", "--quad-order", "8"
+    )
+    assert code == 1 and out == "" and "--quad-order" in err
+
+
+def test_curvature_chart_spread_exits_2(capsys, tmp_path):
+    K = build_complex([(1, 2, 3), (0, 3, 2), (0, 1, 3), (0, 2, 1)])
+    C = attach_cover(K, 2, {t: (0, 1) for t in K.tops})
+    c = build_cochain(C, 1, [(1, (0,), (1, 2), 1e-6), (1, (0,), (2, 3), 1e-6)])
+    paths = [str(tmp_path / f"sp.{part}.json") for part in ("complex", "cover", "cochain")]
+    save_complex(K, paths[0])
+    save_cover(C, paths[1])
+    save_cochain(c, paths[2])
+    code, doc, _ = run_json(capsys, "curvature", *paths, "--tolerance", "1.5e-6")
+    assert code == 2
+    assert doc["validation"]["passed"] is True and "curvature" not in doc
+    assert "depends on the chart choice" in doc["error"]
 
 
 def test_bad_parameter_syntax(capsys):

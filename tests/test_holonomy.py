@@ -21,6 +21,7 @@ from deligne import (
     zero_cochain,
 )
 from deligne.cover import IndexMap
+from deligne.errors import ToleranceError
 from deligne.holonomy import check_index_map
 
 from oracles import naive_holonomy
@@ -178,6 +179,14 @@ def test_curvature_detects_chart_dependence():
     c = build_cochain(cov, 1, [(1, (0,), (1, 2), 1.0)])
     with pytest.raises(HolonomyError):
         curvature_total(c, default_index_map(cov))
+
+
+def test_curvature_chart_spread_is_a_tolerance_error():
+    cov = attach_cover(TET_SPHERE, 2, {t: (0, 1) for t in TET_SPHERE.tops})
+    c = build_cochain(cov, 1, [(1, (0,), (1, 2), 1e-6), (1, (0,), (2, 3), 1e-6)])
+    with pytest.raises(ToleranceError, match="spread 2e-06"):
+        curvature_total(c, default_index_map(cov), tol=1.5e-6)
+    assert curvature_total(c, default_index_map(cov), tol=3e-6).total == 0
 
 
 def test_curvature_per_simplex_signs():

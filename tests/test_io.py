@@ -32,6 +32,7 @@ from deligne.io import (
     cover_to_json,
     index_map_from_json,
     index_map_to_json,
+    matching_from_json,
     oriented_tuple,
     read_json,
     resolve_ref,
@@ -491,6 +492,12 @@ def test_cochain_from_json_rejects_missing_top_level_fields():
         cochain_from_json({"entries": []}, COVER)
 
 
+@pytest.mark.parametrize("entries", [5, "[]", {"0": []}, None])
+def test_cochain_from_json_rejects_non_array_entries(entries):
+    with pytest.raises(SchemaError, match="entries must be an array"):
+        cochain_from_json({"degree": 1, "entries": entries}, COVER)
+
+
 def _entry_mutation(field, value):
     def mutate(doc):
         entry = next(e for e in doc["entries"] if e["k"] == 1)
@@ -543,3 +550,31 @@ def test_float_cochain_survives_byte_round_trip(tmp_path):
     ):
         assert (k, s, J) == (k2, s2, J2)
         assert v == v2 and isinstance(v2, float)
+
+
+# -- vertex matchings ---------------------------------------------------------------
+
+
+def test_matching_from_json_reads_canonical_keys():
+    assert matching_from_json({"0": 2, "10": 0}) == {0: 2, 10: 0}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[0, 2]],
+        {"0": 1.7},
+        {"0": 2.0},
+        {"0": True},
+        {"0": "2"},
+        {"0": 2, "00": 2},
+        {"01": 2},
+        {"+1": 2},
+        {"-1": 2},
+        {" 1": 2},
+        {"1.0": 2},
+    ],
+)
+def test_matching_from_json_rejects_bad_documents(doc):
+    with pytest.raises(SchemaError):
+        matching_from_json(doc)

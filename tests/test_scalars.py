@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from deligne._scalars import (
     TWO_PI,
     coerce,
+    exceeds,
     full_turn,
     integer_residual,
     nearest_integer,
@@ -24,6 +25,17 @@ rationals = st.fractions(
 angles = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
 )
+
+
+def test_exceeds_tolerance_rule():
+    # Exact residuals breach when nonzero, whatever tol says.
+    assert not exceeds(Fraction(0), 1e-9, True)
+    assert exceeds(Fraction(1, 10**12), 1e-9, True)
+    # Float residuals breach above tol; NaN always breaches.
+    assert not exceeds(1e-9, 1e-9, False)
+    assert exceeds(2e-9, 1e-9, False)
+    assert exceeds(math.nan, 1e-9, False)
+    assert exceeds(math.nan, math.inf, False)
 
 
 def test_full_turn_units():
