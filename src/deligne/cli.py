@@ -312,7 +312,10 @@ def build_fixture(
     unknown = sorted(k for k in params if k not in accepted or k in ("geom", "exact"))
     if unknown:
         raise _UsageError(f"unknown parameters for {name}: {unknown}")
-    geom = get_geometry(geometry or fx.by_degree.get(params.get("degree"), fx.geometry))
+    # A degree that is not an int counts as not given; the constructor refuses it.
+    degree = params.get("degree")
+    default = fx.by_degree.get(degree if type(degree) is int else None, fx.geometry)
+    geom = get_geometry(geometry or default)
     if "exact" in accepted:
         params = dict(params, exact=exact)
     return fx.build(geom, **params), geom
@@ -420,6 +423,9 @@ def _cmd_fixture(args, report: dict) -> None:
             raise SchemaError("fixture request file needs a fixture name")
         if not isinstance(doc.get("params", {}), dict):
             raise SchemaError("fixture request params must be an object")
+        for key in ("fixture", "geometry"):
+            if doc.get(key) is not None and not isinstance(doc[key], str):
+                raise SchemaError(f"fixture request {key} must be a string")
         name = doc["fixture"]
         geometry = doc.get("geometry", geometry)
         params = {**doc.get("params", {}), **params}

@@ -39,6 +39,7 @@ from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
     Simplex,
+    SimplicialComplex,
     disjoint_union,
     glue_along_boundary,
     parity_sort,
@@ -558,9 +559,31 @@ def reverse_cochain(c: DeligneCochain) -> DeligneCochain:
     return DeligneCochain(cov2, c.degree, dict(c._data), c.exact, c.cocycle)
 
 
-def _relabel_entry_simplex(s: Simplex, mapping: Mapping[int, int]) -> Tuple[Simplex, int]:
-    renamed = tuple(mapping.get(v, v) for v in s)
-    return sort_with_parity(renamed)
+def _transport(
+    c1: DeligneCochain,
+    c2: DeligneCochain,
+    K: SimplicialComplex,
+    relabel: Mapping[int, int],
+) -> DeligneCochain:
+    """c1 and c2 together on K, which holds c1's complex and c2's relabeled
+    by ``relabel``: c2's tops keep their charts and its entries move with
+    the parity of the relabeling.  Chart indices are shared; a cocycle
+    only if both are."""
+
+    def moved(s: Simplex) -> Tuple[Simplex, int]:
+        return sort_with_parity(tuple(relabel.get(v, v) for v in s))
+
+    admissible = {t: c1.base.admissible_of(t) for t in c1.base.complex.tops}
+    for t in c2.base.complex.tops:
+        admissible[moved(t)[0]] = c2.base.admissible_of(t)
+    entries = [(k, J, s, v) for k, s, J, v in c1.entries()]
+    for k, s, J, v in c2.entries():
+        s2, parity = moved(s)
+        entries.append((k, J, s2, parity * v))
+    cover = attach_cover(K, max(c1.base.num_sets, c2.base.num_sets), admissible)
+    out = build_cochain(cover, c1.degree, entries, exact=c1.exact)
+    out.cocycle = c1.cocycle and c2.cocycle
+    return out
 
 
 def disjoint_union_cochains(
@@ -572,19 +595,7 @@ def disjoint_union_cochains(
     if c1.degree != c2.degree or c1.exact != c2.exact:
         raise CochainError("disjoint union needs matching degree and arithmetic")
     K, shift = disjoint_union(c1.base.complex, c2.base.complex)
-    num_sets = max(c1.base.num_sets, c2.base.num_sets)
-    admissible = {t: c1.base.admissible_of(t) for t in c1.base.complex.tops}
-    for t in c2.base.complex.tops:
-        s, _ = _relabel_entry_simplex(t, shift)
-        admissible[s] = c2.base.admissible_of(t)
-    cov = attach_cover(K, num_sets, admissible)
-    entries = [(k, J, s, v) for k, s, J, v in c1.entries()]
-    for k, s, J, v in c2.entries():
-        s2, parity = _relabel_entry_simplex(s, shift)
-        entries.append((k, J, s2, parity * v))
-    out = build_cochain(cov, c1.degree, entries, exact=c1.exact)
-    out.cocycle = c1.cocycle and c2.cocycle
-    return out, shift
+    return _transport(c1, c2, K, shift), shift
 
 
 def glue_cochains(
@@ -601,21 +612,10 @@ def glue_cochains(
     if c1.base.num_sets != c2.base.num_sets:
         raise CochainError("glued cochains must share a cover numbering")
     K, relabel = glue_along_boundary(c1.base.complex, c2.base.complex, matching)
-    admissible = {t: c1.base.admissible_of(t) for t in c1.base.complex.tops}
-    for t in c2.base.complex.tops:
-        s, _ = _relabel_entry_simplex(t, relabel)
-        admissible[s] = c2.base.admissible_of(t)
-    cov = attach_cover(K, c1.base.num_sets, admissible)
-    entries = [(k, J, s, v) for k, s, J, v in c1.entries()]
-    for k, s, J, v in c2.entries():
-        s2, parity = _relabel_entry_simplex(s, relabel)
-        entries.append((k, J, s2, parity * v))
     try:
-        out = build_cochain(cov, c1.degree, entries, exact=c1.exact)
+        return _transport(c1, c2, K, relabel), relabel
     except CochainError as e:
         raise CochainError(f"seam data disagrees: {e}") from None
-    out.cocycle = c1.cocycle and c2.cocycle
-    return out, relabel
 
 
 def random_cochain(

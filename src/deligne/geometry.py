@@ -12,13 +12,22 @@ this is validated at construction and is what makes chart-jump integers
 Lifts are keyed per (chart, simplex) rather than per (chart, vertex)
 because charts around a pole have no single branch value at the pole:
 each polar edge carries its own meridian-constant lift.
+
+One window rule: a chart's branch of a periodic coordinate is the turn
+value lifted into the chart's window ``[lo, lo + width]`` (``_branch``),
+or no branch at all.  One constructor: ``_charted`` takes one
+``(vertices, chart)`` cell per top, orients each top positively in its
+chart, attaches the cover and lifts every simplex vertex by vertex in each
+admissible chart.  The grid tori, circles, annulus and solid torus are all
+built by it; the sphere keeps an explicit per-simplex table, since its
+poles have no vertex branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import lcm
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -30,7 +39,6 @@ from .simplicial import (
     barycentric_subdivide,
     build_complex,
     determinant,
-    sort_with_parity,
 )
 
 Row = Tuple[Fraction, ...]
@@ -87,8 +95,8 @@ def _integer_rows(
     }
 
 
-def _validate_geometry(g: ChartedGeometry) -> None:
-    """Check every admissible lift of every simplex, on integers.
+def _validate_geometry(g: ChartedGeometry) -> ChartedGeometry:
+    """Check every admissible lift of every simplex, on integers; return g.
 
     Offsets between coexisting charts must be constant per simplex and
     integral (turns) in periodic coordinates; each branch must span less
@@ -137,6 +145,7 @@ def _validate_geometry(g: ChartedGeometry) -> None:
                             f"non-periodic coordinate {g.coords[c]} disagrees "
                             f"between charts {a},{b} on {s}"
                         )
+    return g
 
 
 def _oriented(verts: Sequence[int], rows_by_vertex: Mapping[int, Row]) -> Tuple[int, ...]:
@@ -156,19 +165,43 @@ def _oriented(verts: Sequence[int], rows_by_vertex: Mapping[int, Row]) -> Tuple[
     return tuple(vs)
 
 
-def _hierarchical_lift_table(
-    K: SimplicialComplex,
-    cov: CoveredComplex,
-    vlift: Callable[[int, int], Optional[Row]],
-) -> Dict[Tuple[int, Simplex], Tuple[Row, ...]]:
-    table: Dict[Tuple[int, Simplex], Tuple[Row, ...]] = {}
-    for _, s in K.all_simplices():
-        for a in cov.admissible_of(s):
-            rows = tuple(vlift(a, v) for v in s)
-            if any(r is None for r in rows):
-                raise AnalyticError(f"chart {a} has no branch at a vertex of {s}")
-            table[(a, s)] = rows
-    return table
+def _branch(x: Fraction, lo: Fraction, width: Fraction) -> Optional[Fraction]:
+    """The branch of the turn value ``x`` in the chart window
+    ``[lo, lo + width]``, or None when the window misses it."""
+    if x < lo:
+        x += 1
+    return x if lo <= x <= lo + width else None
+
+
+def _charted(
+    name: str,
+    coords: Tuple[str, ...],
+    periodic: Tuple[bool, ...],
+    num_sets: int,
+    cells: Sequence[Tuple[Sequence[int], int]],
+    vlift: Callable[[int, int], Tuple[Optional[Fraction], ...]],
+) -> ChartedGeometry:
+    """The geometry with one top per ``(vertices, chart)`` cell, oriented
+    positively in its chart and admissible there only.  Every simplex is
+    lifted vertex by vertex, ``vlift(chart, vertex)``, in each of its
+    admissible charts; a coordinate ``vlift`` leaves None has no branch."""
+
+    def rows(a: int, s: Sequence[int]) -> Tuple[Row, ...]:
+        out = tuple(vlift(a, v) for v in s)
+        if any(x is None for r in out for x in r):
+            raise AnalyticError(f"chart {a} has no branch at a vertex of {tuple(s)}")
+        return out
+
+    admissible = {
+        _oriented(verts, dict(zip(verts, rows(a, verts)))): (a,) for verts, a in cells
+    }
+    cov = attach_cover(build_complex(list(admissible)), num_sets, admissible)
+    lifts = {
+        (a, s): rows(a, s)
+        for _, s in cov.complex.all_simplices()
+        for a in cov.admissible_of(s)
+    }
+    return _validate_geometry(ChartedGeometry(name, coords, periodic, cov, lifts))
 
 
 # -- grid tori ----------------------------------------------------------------
@@ -176,228 +209,91 @@ def _hierarchical_lift_table(
 _GRID = 4
 
 
+def _grid_vertex(*idx: int) -> int:
+    """Label of a point of the periodic grid, row-major, indices mod _GRID."""
+    out = 0
+    for i in idx:
+        out = out * _GRID + i % _GRID
+    return out
+
+
 def _torus_geometry(d: int, name: str) -> ChartedGeometry:
-    n = _GRID
+    """The Kuhn triangulation of the d-torus grid.  Each axis has two
+    half-turn windows; a cell's chart is the bit string of its windows."""
+    n, half = _GRID, Fraction(1, 2)
 
-    def vid(idx: Sequence[int]) -> int:
-        out = 0
-        for a in range(d):
-            out = out * n + (idx[a] % n)
-        return out
-
-    def window_bit(i: int) -> int:
-        return 0 if i < n // 2 else 1
-
-    def chart_of_cell(idx: Sequence[int]) -> int:
-        out = 0
-        for a in range(d):
-            out = out * 2 + window_bit(idx[a])
-        return out
-
-    def chart_bits(chart: int) -> Tuple[int, ...]:
-        bits = []
-        for _ in range(d):
-            bits.append(chart % 2)
-            chart //= 2
-        return tuple(reversed(bits))
-
-    def vlift(chart: int, v: int) -> Optional[Row]:
-        bits = chart_bits(chart)
-        out = []
-        rest = v
-        idxs = []
-        for _ in range(d):
-            idxs.append(rest % n)
-            rest //= n
-        idxs.reverse()
-        for a in range(d):
-            x = Fraction(idxs[a], n)
-            lo = Fraction(bits[a], 2)
-            if x < lo:
-                x += 1
-            if not lo <= x <= lo + Fraction(1, 2):
-                return None
-            out.append(x)
-        return tuple(out)
+    def vlift(chart: int, v: int) -> Tuple[Optional[Fraction], ...]:
+        return tuple(
+            _branch(Fraction(v // n**e % n, n), Fraction((chart >> e) & 1, 2), half)
+            for e in reversed(range(d))
+        )
 
     cells = []
-
-    def gen(prefix):
-        if len(prefix) == d:
-            cells.append(tuple(prefix))
-            return
-        for i in range(n):
-            gen(prefix + [i])
-
-    gen([])
-
-    tops = []
-    tops_admissible = {}
-    for cell in cells:
-        chart = chart_of_cell(cell)
+    for cell in product(range(n), repeat=d):
+        chart = sum((i * 2 // n) << (d - 1 - a) for a, i in enumerate(cell))
         for perm in permutations(range(d)):
-            path = [tuple(cell)]
+            path = [cell]
             for axis in perm:
-                prev = path[-1]
-                path.append(tuple(prev[a] + (1 if a == axis else 0) for a in range(d)))
-            labels = [vid(p) for p in path]
-            rows = {lab: vlift(chart, lab) for lab in labels}
-            top = _oriented(labels, rows)
-            tops.append(top)
-            tops_admissible[top] = (chart,)
-    K = build_complex(tops)
-    cov = attach_cover(K, 2 ** d, tops_admissible)
-    lifts = _hierarchical_lift_table(K, cov, vlift)
-    g = ChartedGeometry(
-        name=name,
-        coords=tuple(f"theta{a + 1}" for a in range(d)),
-        periodic=tuple(True for _ in range(d)),
-        covered=cov,
-        lifts=lifts,
-    )
-    _validate_geometry(g)
-    return g
-
-
-def torus2_geometry() -> ChartedGeometry:
-    return _torus_geometry(2, "torus2-4chart")
-
-
-def torus3_geometry() -> ChartedGeometry:
-    return _torus_geometry(3, "torus3-8chart")
+                path.append(tuple(i + (a == axis) for a, i in enumerate(path[-1])))
+            cells.append(([_grid_vertex(*p) for p in path], chart))
+    coords = tuple(f"theta{a + 1}" for a in range(d))
+    return _charted(name, coords, (True,) * d, 2**d, cells, vlift)
 
 
 def torus2_axis_loop(axis: int, at: int) -> SimplicialComplex:
     """A grid axis loop of the 2-torus, oriented in the positive direction."""
-    n = _GRID
     if axis not in (0, 1):
         raise AnalyticError("torus2 axis must be 0 or 1")
 
-    def vid(i, j):
-        return (i % n) * n + (j % n)
+    def vid(t: int) -> int:
+        return _grid_vertex(t, at) if axis == 0 else _grid_vertex(at, t)
 
-    edges = []
-    for t in range(n):
-        if axis == 0:
-            edges.append((vid(t, at), vid(t + 1, at)))
-        else:
-            edges.append((vid(at, t), vid(at, t + 1)))
-    return build_complex(edges)
+    return build_complex([(vid(t), vid(t + 1)) for t in range(_GRID)])
 
 
 def torus3_plane_slice(at: int) -> SimplicialComplex:
     """The (theta1, theta2) subtorus of the 3-torus grid at height ``at``,
     oriented positively; a closed 2-subcomplex of the Kuhn triangulation."""
-    n = _GRID
-
-    def vid(i, j, k):
-        return ((i % n) * n + (j % n)) * n + (k % n)
-
     tops = []
-    for i in range(n):
-        for j in range(n):
-            a = vid(i, j, at)
-            b = vid(i + 1, j, at)
-            c = vid(i + 1, j + 1, at)
-            e = vid(i, j + 1, at)
-            tops.append((a, b, c))
-            tops.append((a, c, e))
+    for i, j in product(range(_GRID), repeat=2):
+        a, b, c, e = (
+            _grid_vertex(i + di, j + dj, at)
+            for di, dj in ((0, 0), (1, 0), (1, 1), (0, 1))
+        )
+        tops += [(a, b, c), (a, c, e)]
     return build_complex(tops)
 
 
-# -- circles ------------------------------------------------------------------
+# -- circle, annulus, solid torus -----------------------------------------------
 
 
-def circle_geometry(arcs: int, name: str) -> ChartedGeometry:
-    if arcs == 2:
-        pts = 4
-        edge_chart = {(0, 1): 0, (1, 2): 0, (2, 3): 1, (3, 0): 1}
-        windows = {0: Fraction(0), 1: Fraction(1, 2)}
-    elif arcs == 3:
-        pts = 3
-        edge_chart = {(0, 1): 0, (1, 2): 1, (2, 0): 2}
-        windows = {a: Fraction(a, 3) for a in range(3)}
-    else:
-        raise AnalyticError("circle geometries have 2 or 3 arcs")
-    width = Fraction(1, 2) if arcs == 2 else Fraction(1, 3)
-
-    def vlift(chart: int, v: int) -> Optional[Row]:
-        x = Fraction(v, pts)
-        lo = windows[chart]
-        if x < lo:
-            x += 1
-        if not lo <= x <= lo + width:
-            return None
-        return (x,)
-
-    tops = list(edge_chart)
-    K = build_complex(tops)
-    cov = attach_cover(K, arcs, {e: (c,) for e, c in edge_chart.items()})
-    lifts = _hierarchical_lift_table(K, cov, vlift)
-    g = ChartedGeometry(
-        name=name,
-        coords=("theta",),
-        periodic=(True,),
-        covered=cov,
-        lifts=lifts,
+def circle_geometry(arcs: int, pts: int, name: str) -> ChartedGeometry:
+    """``pts`` equally spaced points; edge v runs to v + 1 in chart
+    ``v * arcs // pts``, and chart a is the window ``[a / arcs, (a + 1) / arcs]``."""
+    width = Fraction(1, arcs)
+    cells = [((v, (v + 1) % pts), v * arcs // pts) for v in range(pts)]
+    return _charted(
+        name,
+        ("theta",),
+        (True,),
+        arcs,
+        cells,
+        lambda a, v: (_branch(Fraction(v, pts), a * width, width),),
     )
-    _validate_geometry(g)
-    return g
-
-
-# -- annulus ------------------------------------------------------------------
 
 
 def annulus_geometry() -> ChartedGeometry:
     """S^1 x [0,1]: inner ring labels 0..3, outer 4..7, four arc charts."""
-    n = 4
+    n, width = 4, Fraction(1, 4)
 
-    def inner(j):
-        return j % n
+    def vlift(chart: int, v: int) -> Tuple[Optional[Fraction], ...]:
+        return (_branch(Fraction(v % n, n), chart * width, width), Fraction(v // n))
 
-    def outer(j):
-        return 4 + (j % n)
-
-    def vlift(chart: int, v: int) -> Optional[Row]:
-        j = v % 4
-        s = Fraction(0) if v < 4 else Fraction(1)
-        x = Fraction(j, n)
-        lo = Fraction(chart, n)
-        if x < lo:
-            x += 1
-        if not lo <= x <= lo + Fraction(1, n):
-            return None
-        return (x, s)
-
-    tops = []
-    tops_admissible = {}
+    cells = []
     for j in range(n):
-        rows = {
-            inner(j): vlift(j, inner(j)),
-            inner(j + 1): vlift(j, inner(j + 1)),
-            outer(j): vlift(j, outer(j)),
-            outer(j + 1): vlift(j, outer(j + 1)),
-        }
-        t1 = _oriented((inner(j), inner(j + 1), outer(j + 1)), rows)
-        t2 = _oriented((inner(j), outer(j + 1), outer(j)), rows)
-        tops.extend([t1, t2])
-        tops_admissible[t1] = (j,)
-        tops_admissible[t2] = (j,)
-    K = build_complex(tops)
-    cov = attach_cover(K, n, tops_admissible)
-    lifts = _hierarchical_lift_table(K, cov, vlift)
-    g = ChartedGeometry(
-        name="annulus",
-        coords=("theta", "s"),
-        periodic=(True, False),
-        covered=cov,
-        lifts=lifts,
-    )
-    _validate_geometry(g)
-    return g
-
-
-# -- solid torus ---------------------------------------------------------------
+        i0, i1, o0, o1 = j, (j + 1) % n, n + j, n + (j + 1) % n
+        cells += [((i0, i1, o1), j), ((i0, o1, o0), j)]
+    return _charted("annulus", ("theta", "s"), (True, False), n, cells, vlift)
 
 
 _DISC_XY: Tuple[Tuple[Fraction, Fraction], ...] = (
@@ -415,51 +311,26 @@ def solid_torus_geometry() -> ChartedGeometry:
     Coordinates (x, y, theta); only theta is periodic.  One chart per ring
     segment.  The boundary is a 4 x 4 grid torus of 32 triangles.
     """
-    n = 4
+    n, width = 4, Fraction(1, 4)
 
-    def label(ring: int, d: int) -> int:
-        return 5 * (ring % n) + d
-
-    def vlift(chart: int, v: int) -> Optional[Row]:
+    def vlift(chart: int, v: int) -> Tuple[Optional[Fraction], ...]:
         ring, d = divmod(v, 5)
-        t = Fraction(ring, n)
-        lo = Fraction(chart, n)
-        if t < lo:
-            t += 1
-        if not lo <= t <= lo + Fraction(1, n):
-            return None
-        x, y = _DISC_XY[d]
-        return (x, y, t)
+        return (*_DISC_XY[d], _branch(Fraction(ring, n), chart * width, width))
 
-    disc_triangles = [(0, 1 + d, 1 + (d + 1) % n) for d in range(n)]
-    tops = []
-    tops_admissible = {}
+    cells = []
     for ring in range(n):
-        for (A, B, C) in disc_triangles:
-            bottom = [label(ring, A), label(ring, B), label(ring, C)]
-            top = [label(ring + 1, A), label(ring + 1, B), label(ring + 1, C)]
-            prism = [
-                (bottom[0], bottom[1], bottom[2], top[2]),
-                (bottom[0], bottom[1], top[1], top[2]),
-                (bottom[0], top[0], top[1], top[2]),
+        for d in range(n):
+            tri = (0, 1 + d, 1 + (d + 1) % n)
+            lo = [5 * ring + k for k in tri]
+            hi = [5 * ((ring + 1) % n) + k for k in tri]
+            cells += [
+                ((lo[0], lo[1], lo[2], hi[2]), ring),
+                ((lo[0], lo[1], hi[1], hi[2]), ring),
+                ((lo[0], hi[0], hi[1], hi[2]), ring),
             ]
-            for tet in prism:
-                rows = {v: vlift(ring, v) for v in tet}
-                t = _oriented(tet, rows)
-                tops.append(t)
-                tops_admissible[t] = (ring,)
-    K = build_complex(tops)
-    cov = attach_cover(K, n, tops_admissible)
-    lifts = _hierarchical_lift_table(K, cov, vlift)
-    g = ChartedGeometry(
-        name="solid-torus",
-        coords=("x", "y", "theta"),
-        periodic=(False, False, True),
-        covered=cov,
-        lifts=lifts,
+    return _charted(
+        "solid-torus", ("x", "y", "theta"), (False, False, True), n, cells, vlift
     )
-    _validate_geometry(g)
-    return g
 
 
 # -- sphere (octahedron, face charts) ------------------------------------------
@@ -472,64 +343,44 @@ def sphere_octahedron_geometry() -> ChartedGeometry:
     edges carry meridian-constant branches, so the lift table is genuinely
     per-simplex: no chart has a branch value at a pole vertex.
     """
-    N, S = 0, 5
-    E = [1, 2, 3, 4]
-
-    def th(i: int) -> Fraction:
-        return Fraction(i, 4)
-
     lifts: Dict[Tuple[int, Simplex], Tuple[Row, ...]] = {}
 
-    def put(chart: int, verts: Sequence[int], rows_by_vertex: Mapping[int, Row]):
-        s, _ = sort_with_parity(tuple(verts))
+    def put(chart: int, rows_by_vertex: Mapping[int, Row]) -> None:
+        s = tuple(sorted(rows_by_vertex))
         lifts[(chart, s)] = tuple(rows_by_vertex[v] for v in s)
 
-    tops = []
-    tops_admissible = {}
+    admissible = {}
     for i in range(4):
-        lo, hi, mid = th(i), th(i + 1), Fraction(2 * i + 1, 8)
-        for southern in (False, True):
-            chart = (4 + i) if southern else i
-            u_pole = Fraction(-1) if southern else Fraction(1)
-            pole = S if southern else N
-            a, b = E[i], E[(i + 1) % 4]
-            rows = {
-                pole: (mid, u_pole),
-                a: (lo, Fraction(0)),
-                b: (hi, Fraction(0)),
-            }
-            face = _oriented((pole, a, b), rows)
-            tops.append(face)
-            tops_admissible[face] = (chart,)
-            put(chart, face, rows)
+        lo, hi, mid = Fraction(i, 4), Fraction(i + 1, 4), Fraction(2 * i + 1, 8)
+        a, b = 1 + i, 1 + (i + 1) % 4
+        A, B = (lo, Fraction(0)), (hi, Fraction(0))
+        # North pole 0 and south pole 5.
+        for chart, pole, u in ((i, 0, Fraction(1)), (4 + i, 5, Fraction(-1))):
+            face = {pole: (mid, u), a: A, b: B}
+            admissible[_oriented((pole, a, b), face)] = (chart,)
+            put(chart, face)
             # Meridian edges: the branch along each polar edge is the
             # edge's own constant angle, not the face's interior value.
-            put(chart, (pole, a), {pole: (lo, u_pole), a: (lo, Fraction(0))})
-            put(chart, (pole, b), {pole: (hi, u_pole), b: (hi, Fraction(0))})
-            put(chart, (a, b), {a: (lo, Fraction(0)), b: (hi, Fraction(0))})
-            put(chart, (a,), {a: (lo, Fraction(0))})
-            put(chart, (b,), {b: (hi, Fraction(0))})
-
-    K = build_complex(tops)
-    cov = attach_cover(K, 8, tops_admissible)
-    g = ChartedGeometry(
-        name="sphere-octahedron-2chart",
-        coords=("theta", "u"),
-        periodic=(True, False),
-        covered=cov,
-        lifts=lifts,
+            put(chart, {pole: (lo, u), a: A})
+            put(chart, {pole: (hi, u), b: B})
+            put(chart, {a: A, b: B})
+            put(chart, {a: A})
+            put(chart, {b: B})
+    cov = attach_cover(build_complex(list(admissible)), 8, admissible)
+    return _validate_geometry(
+        ChartedGeometry(
+            "sphere-octahedron-2chart", ("theta", "u"), (True, False), cov, lifts
+        )
     )
-    _validate_geometry(g)
-    return g
 
 
 # -- registry and subdivision ---------------------------------------------------
 
 GEOMETRY_BUILDERS: Dict[str, Callable[[], ChartedGeometry]] = {
-    "circle-2arc": lambda: circle_geometry(2, "circle-2arc"),
-    "circle-3arc": lambda: circle_geometry(3, "circle-3arc"),
-    "torus2-4chart": torus2_geometry,
-    "torus3-8chart": torus3_geometry,
+    "circle-2arc": lambda: circle_geometry(2, 4, "circle-2arc"),
+    "circle-3arc": lambda: circle_geometry(3, 3, "circle-3arc"),
+    "torus2-4chart": lambda: _torus_geometry(2, "torus2-4chart"),
+    "torus3-8chart": lambda: _torus_geometry(3, "torus3-8chart"),
     "sphere-octahedron-2chart": sphere_octahedron_geometry,
     "annulus": annulus_geometry,
     "solid-torus": solid_torus_geometry,
@@ -593,13 +444,6 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
                     )
                 rows.append(row)
             lifts[(a, s)] = tuple(rows)
-    g2 = ChartedGeometry(
-        name=g.name,
-        coords=g.coords,
-        periodic=g.periodic,
-        covered=cov2,
-        lifts=lifts,
-        parent=g,
+    return _validate_geometry(
+        ChartedGeometry(g.name, g.coords, g.periodic, cov2, lifts, parent=g)
     )
-    _validate_geometry(g2)
-    return g2

@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ComplexError
 
-Vertex = int
 Simplex = Tuple[int, ...]
 
 

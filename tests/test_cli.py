@@ -718,6 +718,9 @@ def test_fixture_refuses_non_integer_parameters(capsys, argv):
         ({"fixture": "zero", "params": {"degree": 1.0}}, "degree must be an integer"),
         ({"fixture": "torsion", "params": [5]}, "params must be an object"),
         ({"fixture": "torsion", "params": "q=5"}, "params must be an object"),
+        ({"fixture": ["torsion"], "params": {"q": 5}}, "fixture must be a string"),
+        ({"fixture": "torsion", "geometry": {"name": "annulus"}}, "geometry must be a string"),
+        ({"fixture": "torsion", "params": {"q": 5, "degree": [2]}}, "degree must be an integer"),
     ],
 )
 def test_fixture_request_file_refuses_bad_params(capsys, tmp_path, request_doc, named):

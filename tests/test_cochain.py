@@ -396,6 +396,14 @@ def test_disjoint_union_cochains_carry_entries():
         disjoint_union_cochains(c1, zero_cochain(TRI_COVER, 2))
 
 
+def test_disjoint_union_is_a_cocycle_only_if_both_pieces_are():
+    zero, raw = zero_cochain(TRI_COVER, 1), degree1_sample()
+    assert zero.cocycle and not raw.cocycle
+    assert disjoint_union_cochains(zero, zero)[0].cocycle
+    assert not disjoint_union_cochains(zero, raw)[0].cocycle
+    assert not disjoint_union_cochains(raw, zero)[0].cocycle
+
+
 def test_glue_cochains_seam_agreement():
     K1 = build_complex([(0, 1), (1, 2)])
     K2 = build_complex([(0, 1), (1, 2)])
@@ -415,6 +423,14 @@ def test_glue_cochains_seam_agreement():
     bad = mk(cov2, {0: 0.35, 1: 0.9, 2: 0.1})
     with pytest.raises(CochainError):
         glue_cochains(c1, bad, {0: 2, 2: 0})
+
+
+def test_glue_cochains_names_the_seam():
+    cov = attach_cover(build_complex([(0, 1)]), 2, {(0, 1): (0, 1)})
+    c1 = build_cochain(cov, 1, [(0, (0, 1), (0,), 0.1)])
+    c2 = build_cochain(cov, 1, [(0, (0, 1), (1,), 0.5)])
+    with pytest.raises(CochainError, match="seam data disagrees"):
+        glue_cochains(c1, c2, {1: 0})
 
 
 def test_glue_cochains_mode_checks():

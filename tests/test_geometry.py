@@ -1,5 +1,6 @@
 """Charted model spaces: lifts, jumps, subdivision transport."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from deligne import (
     torus3_plane_slice,
 )
 from deligne.geometry import _validate_geometry
+from deligne.io import complex_to_json, cover_to_json, dumps_canonical
 
 ALL_NAMES = sorted(GEOMETRY_BUILDERS)
 
@@ -289,3 +291,38 @@ def test_validate_geometry_messages(make, message):
         _validate_geometry(g)
     assert str(err.value) == message
 
+
+
+# Digests of each shipped geometry, coarse and once subdivided (torus3
+# coarse only): complex, coords, cover, lift keys in table order, lift
+# values and periodicity, through the canonical JSON codec.
+PINNED = {
+    "annulus": ("f7b786e5084b2fb2", "c371640e63a386f8"),
+    "circle-2arc": ("309858ccc135299d", "b2ec8fb114b47f62"),
+    "circle-3arc": ("6ee0ef35c5223427", "9c6abf93e80e4e70"),
+    "solid-torus": ("c65ccce960494a7f", "2b667b1d6c736deb"),
+    "sphere-octahedron-2chart": ("2638427bc1eff7c8", "61ec91a64706a1b2"),
+    "torus2-4chart": ("ba84c5b8782a1109", "039827ed351a070b"),
+    "torus3-8chart": ("a1208b91fc44a806",),
+}
+
+
+def geometry_digest(g):
+    doc = {
+        "complex": complex_to_json(g.covered.complex),
+        "coords": g.coords,
+        "cover": cover_to_json(g.covered),
+        "lifts": [[a, s, rows] for (a, s), rows in g.lifts.items()],
+        "periodic": [int(p) for p in g.periodic],
+    }
+    return hashlib.sha256(dumps_canonical(doc).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_shipped_geometries_are_pinned(name):
+    assert sorted(PINNED) == ALL_NAMES
+    g = GEOMETRY_BUILDERS[name]()
+    digests = [geometry_digest(g)]
+    if len(PINNED[name]) == 2:
+        digests.append(geometry_digest(subdivide_geometry(g)))
+    assert tuple(digests) == PINNED[name]

@@ -2,8 +2,9 @@
 
 Every name a module imports is used there; ``__init__.py`` is exempt
 because its imports are the package's exports.  Every module-level
-function or class is either exported through ``deligne.__all__`` or named
-by some other statement in the package.  Both scans are syntactic
+function, class or name assignment (constants and type aliases; dunder
+names aside) is either exported through ``deligne.__all__`` or named by
+some other statement in the package.  Both scans are syntactic
 (``ast``): a name counts as used when it appears as an identifier or an
 attribute anywhere, annotations included.
 """
@@ -51,9 +52,10 @@ def test_module_has_no_unused_imports(path):
 
 
 def dead_definitions(sources, exported):
-    """(module, name) of each module-level def or class in ``sources``
-    (module name to source text) that ``exported`` does not list and that
-    no statement other than its own definition names."""
+    """(module, name) of each module-level def, class or non-dunder name
+    assignment in ``sources`` (module name to source text) that
+    ``exported`` does not list and that no statement other than its own
+    definition names."""
     mentions = {}
     definitions = []
     for module, source in sources.items():
@@ -66,6 +68,14 @@ def dead_definitions(sources, exported):
                     mentions.setdefault(node.attr, set()).add(where)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions.append((module, stmt.name, where))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                definitions.extend(
+                    (module, node.id, where)
+                    for target in targets
+                    for node in ast.walk(target)
+                    if isinstance(node, ast.Name) and not node.id.startswith("__")
+                )
     return sorted(
         (module, name)
         for module, name, own in definitions
@@ -87,7 +97,26 @@ def test_dead_scan_sees_unreferenced_definitions():
         "b.py": "from .a import used\nimport a\ndef caller(x: a.Hint): return used()\n",
     }
     assert dead_definitions(sources, {"caller"}) == [
-        ("a.py", "_Dead"), ("a.py", "_dead"), ("a.py", "recursive")
+        ("a.py", "TABLE"), ("a.py", "_Dead"), ("a.py", "_dead"), ("a.py", "recursive")
+    ]
+
+
+def test_dead_scan_sees_unreferenced_assignments():
+    sources = {
+        "a.py": (
+            "from typing import Tuple\n"
+            "__all__ = ['f']\n"
+            "Row = Tuple[int, ...]\n"
+            "Vertex = int\n"
+            "_LIMIT: int = 4\n"
+            "_UNUSED: int = 5\n"
+            "LO, HI = 0, 1\n"
+            "_CACHE = {}\n"
+            "def f(r: Row) -> int: return _LIMIT + HI + len(_CACHE)\n"
+        ),
+    }
+    assert dead_definitions(sources, {"f"}) == [
+        ("a.py", "LO"), ("a.py", "Vertex"), ("a.py", "_UNUSED")
     ]
 
 
