@@ -349,7 +349,7 @@ def _report_class(
     cochain = discretize(pres, exact=args.arithmetic == "rational")
     report[key] = {
         "degree": pres.degree,
-        "entries": sum(1 for _ in cochain.entries()),
+        "entries": len(cochain),
         "geometry": geom.name,
         "label": pres.label,
     }
@@ -440,7 +440,7 @@ def _cmd_shift(args, report: dict) -> None:
     shifted = exact_shift(c, load_cochain(args.shift_by, c.base))
     report["shift"] = {
         "degree": shifted.degree,
-        "entries": sum(1 for _ in shifted.entries()),
+        "entries": len(shifted),
     }
     if args.output:
         save_cochain(shifted, args.output)
@@ -468,7 +468,7 @@ def _cmd_glue(args, report: dict) -> None:
     K = glued.base.complex
     report["glue"] = {
         "dim": K.dim,
-        "entries": sum(1 for _ in glued.entries()),
+        "entries": len(glued),
         "seam_vertices": len(matching),
         "tops": len(K.tops),
         "vertices": len(K.vertices),

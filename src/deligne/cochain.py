@@ -19,20 +19,23 @@ with level 0 replaced by integrality: delta C^0 must land in 2*pi*Z.
 Both differentials are evaluated by one kernel on canonical keys only:
 dropping one index from an increasing multi-index keeps it increasing, and
 the facets of a canonical simplex are canonical, so every term is one dict
-lookup with no sorting.  Whole-cochain passes (validation, the gauge move,
-trivialization and Chern class extraction) first rescale exact entries to
-Python-int numerators over the lcm of all the cochains' denominators, sum
-those as ints and build a Fraction only for a stored value or a nonzero
-residual; float mode sums the same terms with math.fsum.  The flag sums'
-word kernel does the same, with one parity sort per chart word.
+lookup with no sorting.  An exact cochain stores Python-int numerators over
+one ``scale``, the lcm of its entries' reduced denominators, and every
+operation returns that canonical form.  Whole-cochain passes (validation,
+the gauge move, trivialization and Chern class extraction) sum the stored
+ints in place; two cochains are rescaled only when their scales differ.  A
+Fraction is built only for a value handed out or a nonzero residual.  Float
+mode stores floats over scale 1 and sums the same terms with math.fsum.
+The flag sums' word kernel does the same, with one parity sort per chart
+word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import gcd, isfinite, lcm
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._scalars import TWO_PI, Scalar, coerce, exceeds, integer_residual, tree_sum, zero
 from .cover import CoveredComplex, attach_cover
@@ -54,7 +57,14 @@ Term = Tuple[int, int, Simplex, Sequence[int]]  # (sign, k, simplex, chart word)
 
 
 class DeligneCochain:
-    """Sparse cochain; missing entries are 0.  Use :func:`build_cochain`."""
+    """Sparse cochain; missing entries are 0.  Use :func:`build_cochain`.
+
+    ``data`` maps canonical keys to nonzero values over ``scale``: in exact
+    mode Python-int numerators, the entry being ``Fraction(n, scale)`` with
+    ``scale`` the lcm of the entries' reduced denominators (1 when there
+    are none); in float mode floats over scale 1.  Any other scale or value
+    type raises :class:`CochainError`.
+    """
 
     def __init__(
         self,
@@ -63,12 +73,21 @@ class DeligneCochain:
         data: Dict[Key, Scalar],
         exact: bool,
         cocycle: bool = False,
+        scale: int = 1,
     ):
+        if exact:
+            if type(scale) is not int or scale < 1:
+                raise CochainError(f"exact cochain scale must be an int >= 1, got {scale!r}")
+            if not set(map(type, data.values())) <= {int}:
+                raise CochainError("exact cochain data must be int numerators over scale")
+        elif scale != 1:
+            raise CochainError(f"float cochain scale must be 1, got {scale!r}")
         self.base = base
         self.degree = degree
         self._data = data
         self.exact = exact
         self.cocycle = cocycle
+        self.scale = scale
 
     def component(self, k: int, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
         """Evaluate C^k with antisymmetry in both arguments."""
@@ -79,12 +98,29 @@ class DeligneCochain:
         value = self._data.get((k, s, idx))
         if value is None:
             return zero(self.exact)
-        return ps * pi * value
+        return _unscaled(ps * pi * value, self.scale, self.exact)
 
     def entries(self) -> Iterable[Tuple[int, Simplex, MultiIndex, Scalar]]:
-        """Stored nonzero entries in canonical (k, simplex, indices) order."""
-        for k, s, idx in sorted(self._data):
-            yield k, s, idx, self._data[(k, s, idx)]
+        """Stored nonzero entries in canonical (k, simplex, indices) order.
+
+        Exact mode builds one Fraction per distinct numerator per call."""
+        data = self._data
+        if not self.exact:
+            for key in sorted(data):
+                yield (*key, data[key])
+            return
+        scale = self.scale
+        made: Dict[int, Fraction] = {}
+        for key in sorted(data):
+            n = data[key]
+            value = made.get(n)
+            if value is None:
+                value = made[n] = Fraction(n, scale)
+            yield (*key, value)
+
+    def __len__(self) -> int:
+        """The number of stored nonzero entries."""
+        return len(self._data)
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
@@ -128,41 +164,60 @@ def build_cochain(
                     f"repeated chart index {tuple(indices)} with nonzero value"
                 )
             continue
-        adm = base.admissible_of(s)
-        for a in idx:
-            if a not in adm:
-                raise CochainError(f"chart {a} is not admissible for {s}")
-        key = (k, s, idx)
-        canon = ps * pi * value
-        if key in data and data[key] != canon:
-            raise CochainError(f"conflicting duplicate entry at {key}")
-        data[key] = canon
+        _admit(base, data, (k, s, idx), ps * pi * value)
     for key in [key for key, v in data.items() if v == 0]:
         del data[key]
-    return DeligneCochain(base, degree, data, exact)
+    if not exact:
+        return DeligneCochain(base, degree, data, exact)
+    scale = lcm(*{v.denominator for v in data.values()})
+    for key, v in data.items():
+        data[key] = v.numerator * (scale // v.denominator)
+    return DeligneCochain(base, degree, data, exact, scale=scale)
+
+
+def _admit(base: CoveredComplex, data: Dict[Key, Scalar], key: Key, value: Scalar) -> None:
+    """Store value at a canonical key whose charts are admissible for its
+    simplex on base; a different value already there is a conflict."""
+    _, s, idx = key
+    adm = base.admissible_of(s)
+    for a in idx:
+        if a not in adm:
+            raise CochainError(f"chart {a} is not admissible for {s}")
+    if key in data and data[key] != value:
+        raise CochainError(f"conflicting duplicate entry at {key}")
+    data[key] = value
+
+
+def _canonical(c: DeligneCochain) -> DeligneCochain:
+    """c with its exact scale and numerators divided by their gcd, which
+    leaves the scale at the lcm of the reduced denominators."""
+    if c.exact:
+        g = gcd(c.scale, *c._data.values())
+        if g > 1:
+            c._data = {key: n // g for key, n in c._data.items()}
+            c.scale //= g
+    return c
 
 
 def zero_cochain(base: CoveredComplex, degree: int, exact: bool = False) -> DeligneCochain:
-    c = DeligneCochain(base, degree, {}, exact)
-    c.cocycle = True
-    return c
+    return DeligneCochain(base, degree, {}, exact, cocycle=True)
 
 
 # -- differentials -----------------------------------------------------------
 
 
-def _scaled(exact: bool, *cochains: DeligneCochain) -> Tuple[List[Values], int]:
-    """Per-call kernel input: one value map per cochain and its scale.
+def _scaled(*cochains: DeligneCochain) -> Tuple[List[Values], int]:
+    """Kernel input: one value map per cochain over one common scale.
 
-    Exact mode rescales every entry to a Python-int numerator over the lcm
-    of all the cochains' denominators; float mode passes the stored floats
-    through over 1.  The maps are built for one call and thrown away.
+    Each stored map is passed through as it is unless the cochains' scales
+    differ; then exact entries are rescaled to the lcm of the scales for
+    this call.  Float maps are always passed through over 1.
     """
-    if not exact:
-        return [c._data for c in cochains], 1
-    scale = lcm(*{v.denominator for c in cochains for v in c._data.values()})
+    scale = lcm(*(c.scale for c in cochains))
     maps = [
-        {key: v.numerator * (scale // v.denominator) for key, v in c._data.items()}
+        c._data
+        if c.scale == scale
+        else {key: n * (scale // c.scale) for key, n in c._data.items()}
         for c in cochains
     ]
     return maps, scale
@@ -179,31 +234,50 @@ def _residual(gap: Scalar, scale: int, exact: bool) -> Scalar:
     return Fraction(r, scale) if exact and r else r
 
 
+Facets = List[Tuple[int, Simplex]]
+
+
+def _facets(s: Simplex) -> Facets:
+    """(incidence sign (-1)^j, s without vertex j) for each j."""
+    return [(-1 if j & 1 else 1, s[:j] + s[j + 1:]) for j in range(len(s))]
+
+
+def _slots(
+    base: CoveredComplex, k: int, length: int
+) -> Iterator[Tuple[Simplex, Facets, MultiIndex]]:
+    """(s, _facets(s), J) for every k-simplex s and increasing admissible J
+    of the given length; the facets are built once per simplex that has a
+    J at all."""
+    for s in base.complex.simplices(k):
+        if len(base.admissible_of(s)) >= length:
+            facets = _facets(s)
+            for J in base.multi_indices(s, length):
+                yield s, facets, J
+
+
 def _delta(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar:
     """Kernel: (delta X^k)(s, J) for canonical s and increasing J."""
     get = values.get
     terms = [
-        (-1) ** j * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))
+        (-1 if j & 1 else 1) * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))
     ]
     return sum(terms) if exact else tree_sum(terms, False)
 
 
-def _d(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar:
-    """Kernel: (d X^(k-1))(s, J) for a canonical k-simplex s."""
+def _d(values: Values, exact: bool, k: int, facets: Facets, J: MultiIndex) -> Scalar:
+    """Kernel: (d X^(k-1))(s, J) for a canonical k-simplex s given as its
+    ``_facets(s)``, which callers build once per simplex."""
     get = values.get
-    terms = [
-        (-1) ** j * get((k - 1, s[:j] + s[j + 1:], J), 0) for j in range(len(s))
-    ]
+    terms = [sign * get((k - 1, f, J), 0) for sign, f in facets]
     return sum(terms) if exact else tree_sum(terms, False)
 
 
 def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
     """Kernel: per group of (sign, k, s, word) terms with s canonical and the
     word in any order, the sum of sign * C^k(s, word) in c's scalar type.
-    All groups share one per-call scaled value map."""
-    exact = c.exact
-    (values,), scale = _scaled(exact, c)
-    get = values.get
+    All groups read the stored values over c's scale."""
+    exact, scale = c.exact, c.scale
+    get = c._data.get
     sums = []
     for terms in groups:
         out = []
@@ -222,7 +296,7 @@ def cech_delta(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     if pj == 0:
         return zero(c.exact)
     value = _delta(c._data, c.exact, len(s) - 1, s, J)
-    return _unscaled(ps * pj * value, 1, c.exact)
+    return _unscaled(ps * pj * value, c.scale, c.exact)
 
 
 def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
@@ -238,8 +312,8 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     J, pj = parity_sort(tuple(indices))
     if pj == 0:
         return zero(c.exact)
-    value = _d(c._data, c.exact, len(s) - 1, s, J)
-    return _unscaled(ps * pj * value, 1, c.exact)
+    value = _d(c._data, c.exact, len(s) - 1, _facets(s), J)
+    return _unscaled(ps * pj * value, c.scale, c.exact)
 
 
 def _nearest_turn(x: Scalar, scale: int, exact: bool) -> Tuple[Optional[int], Scalar]:
@@ -300,7 +374,7 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     p = c.degree
     K = c.base.complex
     exact = c.exact
-    (values,), scale = _scaled(exact, c)
+    values, scale = c._data, c.scale
     worst: Dict[int, Scalar] = {}
     checked: Dict[int, int] = {}
     failing: List[FailedCondition] = []
@@ -312,6 +386,8 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
         for J in c.base.multi_indices(v, p + 2):
             n, residual = _nearest_turn(_delta(values, exact, 0, v, J), scale, exact)
             count += 1
+            if not residual:  # neither the worst nor a breach
+                continue
             if _worse(residual, top):
                 top = residual
             if exceeds(residual, tol, exact):
@@ -323,15 +399,17 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
         count = 0
         top = zero(exact)
         sign = (-1) ** (p - k)
-        for s in K.simplices(k):
-            for J in c.base.multi_indices(s, p - k + 2):
-                gap = _delta(values, exact, k, s, J) - sign * _d(values, exact, k, s, J)
-                residual = _residual(gap, scale, exact)
-                count += 1
-                if _worse(residual, top):
-                    top = residual
-                if exceeds(residual, tol, exact):
-                    failing.append(FailedCondition(k, s, J, residual))
+        for s, facets, J in _slots(c.base, k, p - k + 2):
+            d = _d(values, exact, k, facets, J)
+            gap = _delta(values, exact, k, s, J) - sign * d
+            count += 1
+            if not gap:
+                continue
+            residual = _residual(gap, scale, exact)
+            if _worse(residual, top):
+                top = residual
+            if exceeds(residual, tol, exact):
+                failing.append(FailedCondition(k, s, J, residual))
         worst[k] = top
         checked[k] = count
 
@@ -362,32 +440,43 @@ def tensor(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
     _require_same_base(c1, c2)
     if c1.degree != c2.degree:
         raise CochainError("tensor needs equal degrees")
-    data = dict(c1._data)
-    for key, v in c2._data.items():
+    (v1, v2), scale = _scaled(c1, c2)
+    data = dict(v1)
+    for key, v in v2.items():
         s = data.get(key)
         total = v if s is None else s + v
         if total == 0:
             data.pop(key, None)
         else:
             data[key] = total
-    return DeligneCochain(c1.base, c1.degree, data, c1.exact, c1.cocycle and c2.cocycle)
+    cocycle = c1.cocycle and c2.cocycle
+    out = DeligneCochain(c1.base, c1.degree, data, c1.exact, cocycle, scale)
+    return _canonical(out)
 
 
 def dual(c: DeligneCochain) -> DeligneCochain:
-    return DeligneCochain(
-        c.base, c.degree, {k: -v for k, v in c._data.items()}, c.exact, c.cocycle
-    )
+    data = {k: -v for k, v in c._data.items()}
+    return DeligneCochain(c.base, c.degree, data, c.exact, c.cocycle, c.scale)
 
 
 def _shift_value(
-    cv: Values, bv: Values, exact: bool, p: int, k: int, s: Simplex, J: MultiIndex
+    cv: Values,
+    bv: Values,
+    exact: bool,
+    p: int,
+    k: int,
+    s: Simplex,
+    facets: Facets,
+    J: MultiIndex,
 ) -> Scalar:
-    """Kernel: (c + D(b))^k at canonical (s, J), with b^p treated as 0."""
+    """Kernel: (c + D(b))^k at canonical (s, J), with b^p treated as 0;
+    ``facets`` is ``_facets(s)``."""
     value = cv.get((k, s, J), 0)
     if k < p:
         value = value + _delta(bv, exact, k, s, J)
     if k >= 1:
-        value = value + (-1) ** (p - k) * _d(bv, exact, k, s, J)
+        d = _d(bv, exact, k, facets, J)
+        value = value - d if (p - k) & 1 else value + d
     return value
 
 
@@ -397,17 +486,15 @@ def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
     if c.degree < 1 or b.degree != c.degree - 1:
         raise CochainError("exact_shift needs deg(b) = deg(c) - 1 >= 0")
     p = c.degree
-    K = c.base.complex
     exact = c.exact
-    (cv, bv), scale = _scaled(exact, c, b)
+    (cv, bv), scale = _scaled(c, b)
     data: Dict[Key, Scalar] = {}
     for k in range(0, p + 1):
-        for s in K.simplices(k):
-            for J in c.base.multi_indices(s, p - k + 1):
-                v = _shift_value(cv, bv, exact, p, k, s, J)
-                if v != 0:
-                    data[(k, s, J)] = _unscaled(v, scale, exact)
-    return DeligneCochain(c.base, p, data, exact, c.cocycle)
+        for s, facets, J in _slots(c.base, k, p - k + 1):
+            v = _shift_value(cv, bv, exact, p, k, s, facets, J)
+            if v != 0:
+                data[(k, s, J)] = v
+    return _canonical(DeligneCochain(c.base, p, data, exact, c.cocycle, scale))
 
 
 @dataclass(frozen=True)
@@ -438,28 +525,28 @@ def verify_trivialization(
     p = c.degree
     K = c.base.complex
     exact = c.exact
-    (cv, bv), scale = _scaled(exact, c, b)
+    (cv, bv), scale = _scaled(c, b)
     lower_worst: Dict[int, Scalar] = {}
     lower_failing: List[FailedCondition] = []
     for k in range(0, p):
         top = zero(exact)
-        for s in K.simplices(k):
-            for J in c.base.multi_indices(s, p - k + 1):
-                shifted = _shift_value({}, bv, exact, p, k, s, J)  # D(b) alone
-                residual = _residual(cv.get((k, s, J), 0) - shifted, scale, exact)
-                if _worse(residual, top):
-                    top = residual
-                if exceeds(residual, tol, exact):
-                    lower_failing.append(FailedCondition(k, s, J, residual))
+        for s, facets, J in _slots(c.base, k, p - k + 1):
+            shifted = _shift_value({}, bv, exact, p, k, s, facets, J)  # D(b) alone
+            residual = _residual(cv.get((k, s, J), 0) - shifted, scale, exact)
+            if _worse(residual, top):
+                top = residual
+            if exceeds(residual, tol, exact):
+                lower_failing.append(FailedCondition(k, s, J, residual))
         lower_worst[k] = top
 
     top_residuals: Dict[Simplex, Scalar] = {}
     spread = zero(exact)
     ok = not lower_failing
     for s in K.simplices(p):
+        facets = _facets(s)
         values = [
-            _unscaled(cv.get((p, s, (a,)), 0) - _d(bv, exact, p, s, (a,)), scale, exact)
-            for a in c.base.admissible_of(s)
+            _unscaled(cv.get((p, s, J), 0) - _d(bv, exact, p, facets, J), scale, exact)
+            for J in c.base.multi_indices(s, 1)
         ]
         top_residuals[s] = values[0]
         for v in values:
@@ -510,7 +597,7 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
     p = c.degree
     K = c.base.complex
     exact = c.exact
-    (values,), scale = _scaled(exact, c)
+    values, scale = c._data, c.scale
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
     for v in K.simplices(0):
         for J in c.base.multi_indices(v, p + 2):
@@ -542,7 +629,7 @@ def restrict_cochain(c: DeligneCochain, sub: CoveredComplex) -> DeligneCochain:
         for (k, s, J), v in c._data.items()
         if sub.complex.has(s)
     }
-    return DeligneCochain(sub, c.degree, data, c.exact, c.cocycle)
+    return _canonical(DeligneCochain(sub, c.degree, data, c.exact, c.cocycle, c.scale))
 
 
 def reverse_cochain(c: DeligneCochain) -> DeligneCochain:
@@ -556,7 +643,7 @@ def reverse_cochain(c: DeligneCochain) -> DeligneCochain:
     cov2 = attach_cover(
         K2, c.base.num_sets, {t: c.base.admissible_of(t) for t in K2.tops}
     )
-    return DeligneCochain(cov2, c.degree, dict(c._data), c.exact, c.cocycle)
+    return DeligneCochain(cov2, c.degree, dict(c._data), c.exact, c.cocycle, c.scale)
 
 
 def _transport(
@@ -568,7 +655,8 @@ def _transport(
     """c1 and c2 together on K, which holds c1's complex and c2's relabeled
     by ``relabel``: c2's tops keep their charts and its entries move with
     the parity of the relabeling.  Chart indices are shared; a cocycle
-    only if both are."""
+    only if both are.  The stored values move over the lcm of the two
+    scales, which is the canonical scale of their union."""
 
     def moved(s: Simplex) -> Tuple[Simplex, int]:
         return sort_with_parity(tuple(relabel.get(v, v) for v in s))
@@ -576,14 +664,16 @@ def _transport(
     admissible = {t: c1.base.admissible_of(t) for t in c1.base.complex.tops}
     for t in c2.base.complex.tops:
         admissible[moved(t)[0]] = c2.base.admissible_of(t)
-    entries = [(k, J, s, v) for k, s, J, v in c1.entries()]
-    for k, s, J, v in c2.entries():
-        s2, parity = moved(s)
-        entries.append((k, J, s2, parity * v))
     cover = attach_cover(K, max(c1.base.num_sets, c2.base.num_sets), admissible)
-    out = build_cochain(cover, c1.degree, entries, exact=c1.exact)
-    out.cocycle = c1.cocycle and c2.cocycle
-    return out
+    (v1, v2), scale = _scaled(c1, c2)
+    data: Dict[Key, Scalar] = {}
+    for key in sorted(v1):
+        _admit(cover, data, key, v1[key])
+    for k, s, J in sorted(v2):
+        s2, parity = moved(s)
+        _admit(cover, data, (k, s2, J), parity * v2[(k, s, J)])
+    cocycle = c1.cocycle and c2.cocycle
+    return DeligneCochain(cover, c1.degree, data, c1.exact, cocycle, scale)
 
 
 def disjoint_union_cochains(
@@ -628,21 +718,29 @@ def random_cochain(
     """A dense pseudorandom cochain, reproducible from the seed.
 
     Not a cocycle in general; meant as shift data b or as raw material for
-    corruption tests.  Exact mode draws rational turns with the given
-    denominator, float mode draws radians in (-pi, pi)."""
+    corruption tests.  One value is drawn per admissible slot, levels and
+    simplices in ascending order.  Exact mode draws an integer numerator
+    in [-denominator, denominator] and stores it over ``denominator``,
+    which must be an int >= 1; float mode draws radians in (-pi, pi).
+    Draws of 0 are dropped."""
     import random as _random
 
+    if degree < 0:
+        raise CochainError("cochain degree must be nonnegative")
+    if type(denominator) is not int or denominator < 1:
+        raise CochainError(f"denominator must be an int >= 1, got {denominator!r}")
     rng = _random.Random(seed)
-    entries = []
+    data: Dict[Key, Scalar] = {}
     K = base.complex
     for k in range(min(degree, K.dim) + 1):
         length = degree - k + 1
         for s in K.simplices(k):
             for J in base.multi_indices(s, length):
                 if exact:
-                    num = rng.randrange(-denominator, denominator + 1)
-                    val: Scalar = coerce(f"{num}/{denominator}", True)
+                    val: Scalar = rng.randrange(-denominator, denominator + 1)
                 else:
                     val = rng.uniform(-3.141592653589793, 3.141592653589793)
-                entries.append((k, J, s, val))
-    return build_cochain(base, degree, entries, exact=exact)
+                if val != 0:
+                    data[(k, s, J)] = val
+    scale = denominator if exact else 1
+    return _canonical(DeligneCochain(base, degree, data, exact, scale=scale))

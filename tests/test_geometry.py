@@ -187,22 +187,28 @@ def reference_subdivided_lifts(g, g2):
     """Naive lifts of a subdivision: every (chart, child simplex, vertex)
     averages the chart's rows of its carrier over the vertex's parent
     simplex.  Fine vertex i is the barycentre of the i-th parent simplex,
-    and a child's carrier is the parent simplex of its last vertex."""
+    and a child's carrier is the parent simplex of its last vertex.  Each
+    (chart, carrier, parent simplex) average is computed once."""
     parents = [s for _, s in g.covered.complex.all_simplices()]
+    averages = {}
+
+    def average(a, carrier, b):
+        key = (a, carrier, b)
+        if key not in averages:
+            crows = dict(zip(carrier, g.lifts[(a, carrier)]))
+            averages[key] = tuple(
+                sum(crows[v][c] for v in parents[b]) / len(parents[b])
+                for c in range(len(g.coords))
+            )
+        return averages[key]
+
     out = {}
     for _, s in g2.covered.complex.all_simplices():
         carrier = parents[s[-1]]
         for a in g2.covered.admissible_of(s):
             if (a, carrier) not in g.lifts:
                 continue
-            crows = dict(zip(carrier, g.lifts[(a, carrier)]))
-            out[(a, s)] = tuple(
-                tuple(
-                    sum(crows[v][c] for v in parents[b]) / len(parents[b])
-                    for c in range(len(g.coords))
-                )
-                for b in s
-            )
+            out[(a, s)] = tuple(average(a, carrier, b) for b in s)
     return out
 
 
