@@ -100,23 +100,28 @@ class DeligneCochain:
             return zero(self.exact)
         return _unscaled(ps * pi * value, self.scale, self.exact)
 
+    def stored(self) -> Iterator[Tuple[int, Simplex, MultiIndex, Scalar]]:
+        """Stored nonzero entries in canonical (k, simplex, indices) order,
+        as stored: int numerators over ``scale`` in exact mode, floats in
+        float mode."""
+        data = self._data
+        for key in sorted(data):
+            yield (*key, data[key])
+
     def entries(self) -> Iterable[Tuple[int, Simplex, MultiIndex, Scalar]]:
         """Stored nonzero entries in canonical (k, simplex, indices) order.
 
         Exact mode builds one Fraction per distinct numerator per call."""
-        data = self._data
         if not self.exact:
-            for key in sorted(data):
-                yield (*key, data[key])
+            yield from self.stored()
             return
         scale = self.scale
         made: Dict[int, Fraction] = {}
-        for key in sorted(data):
-            n = data[key]
+        for k, s, J, n in self.stored():
             value = made.get(n)
             if value is None:
                 value = made[n] = Fraction(n, scale)
-            yield (*key, value)
+            yield k, s, J, value
 
     def __len__(self) -> int:
         """The number of stored nonzero entries."""

@@ -21,15 +21,22 @@ chart, attaches the cover and lifts every simplex vertex by vertex in each
 admissible chart.  The grid tori, circles, annulus and solid torus are all
 built by it; the sphere keeps an explicit per-simplex table, since its
 poles have no vertex branch.
+
+Validation works on one integer scale per table: every row over a common
+multiple L of the table's denominators, so a full turn is L.  A built
+table is scaled once to its lcm; a subdivided table is made on its child
+scale directly, from integer sums of the parent's scaled rows, and is
+validated there without being scaled again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 from math import lcm
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .cover import CoveredComplex, attach_cover
 from .errors import AnalyticError
@@ -42,6 +49,8 @@ from .simplicial import (
 )
 
 Row = Tuple[Fraction, ...]
+# A lift table on integers over one scale, keyed like ``lifts``.
+Scaled = Dict[Tuple[int, Simplex], Tuple[Tuple[int, ...], ...]]
 
 
 @dataclass
@@ -84,40 +93,48 @@ class ChartedGeometry:
 
 def _integer_rows(
     lifts: Mapping[Tuple[int, Simplex], Tuple[Row, ...]]
-) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
-    """The lcm L of all row denominators of a lift table, and every
-    distinct row object (keyed by ``id``) scaled once to integers over L."""
+) -> Tuple[int, Scaled]:
+    """The lcm L of all row denominators of a lift table, and the table on
+    integers over L: each distinct row object is scaled once, and a row
+    the table shares stays one shared tuple."""
     rows_by_id = {id(r): r for rows in lifts.values() for r in rows}
     L = lcm(*{x.denominator for r in rows_by_id.values() for x in r})
-    return L, {
+    scaled = {
         i: tuple(x.numerator * (L // x.denominator) for x in r)
         for i, r in rows_by_id.items()
     }
+    return L, {key: tuple(scaled[id(r)] for r in rows) for key, rows in lifts.items()}
 
 
 def _validate_geometry(g: ChartedGeometry) -> ChartedGeometry:
-    """Check every admissible lift of every simplex, on integers; return g.
+    """Check g's Fraction lifts: scale them once to integers over their
+    common denominator and run :func:`_validate_scaled`; return g."""
+    return _validate_scaled(g, *_integer_rows(g.lifts))
+
+
+def _validate_scaled(g: ChartedGeometry, L: int, ints: Scaled) -> ChartedGeometry:
+    """Check g's lifts, given as ``ints``: the same keys and arities, every
+    row on integers over L, a common multiple of the reduced denominators
+    (so a full turn is L); return g.
 
     Offsets between coexisting charts must be constant per simplex and
     integral (turns) in periodic coordinates; each branch must span less
-    than a full turn so no simplex straddles a cut.  All rows are scaled
-    once to integers over the common denominator L of the table, so a full
-    turn is L: a span fails at ``max - min >= L``, an offset is integral
-    when ``d % L == 0``, and constancy and agreement are int compares.
+    than a full turn so no simplex straddles a cut.  A span fails at
+    ``max - min >= L``, an offset is integral when ``d % L == 0``, and
+    constancy and agreement are int compares, so every verdict is the same
+    for any such L.
     """
     ncoord = len(g.coords)
-    L, scaled = _integer_rows(g.lifts)
     periodic = [c for c in range(ncoord) if g.periodic[c]]
     for _, s in g.covered.complex.all_simplices():
-        charts = [a for a in g.covered.admissible_of(s) if (a, s) in g.lifts]
-        ints = {}
+        charts = [a for a in g.covered.admissible_of(s) if (a, s) in ints]
         for a in charts:
-            rows = g.lifts[(a, s)]
+            rows = ints[(a, s)]
             if len(rows) != len(s):
                 raise AnalyticError(f"lift of {s} in chart {a} has wrong arity")
-            rows = ints[a] = [scaled[id(r)] for r in rows]
+            columns = list(zip(*rows))
             for c in periodic:
-                if max(r[c] for r in rows) - min(r[c] for r in rows) >= L:
+                if max(columns[c]) - min(columns[c]) >= L:
                     raise AnalyticError(
                         f"simplex {s} spans a full turn of {g.coords[c]} "
                         f"in chart {a}"
@@ -125,10 +142,9 @@ def _validate_geometry(g: ChartedGeometry) -> ChartedGeometry:
         for i in range(len(charts)):
             for j in range(i + 1, len(charts)):
                 a, b = charts[i], charts[j]
-                ra, rb = ints[a], ints[b]
                 diffs = {
-                    tuple(rb[t][c] - ra[t][c] for c in range(ncoord))
-                    for t in range(len(s))
+                    tuple(y - x for x, y in zip(ra, rb))
+                    for ra, rb in zip(ints[(a, s)], ints[(b, s)])
                 }
                 if len(diffs) != 1:
                     raise AnalyticError(
@@ -184,7 +200,9 @@ def _charted(
     """The geometry with one top per ``(vertices, chart)`` cell, oriented
     positively in its chart and admissible there only.  Every simplex is
     lifted vertex by vertex, ``vlift(chart, vertex)``, in each of its
-    admissible charts; a coordinate ``vlift`` leaves None has no branch."""
+    admissible charts; a coordinate ``vlift`` leaves None has no branch.
+    Each (chart, vertex) row is lifted once and shared by every simplex."""
+    vlift = cache(vlift)
 
     def rows(a: int, s: Sequence[int]) -> Tuple[Row, ...]:
         out = tuple(vlift(a, v) for v in s)
@@ -402,48 +420,51 @@ def get_geometry(name: str) -> ChartedGeometry:
 def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     """Barycentric subdivision with carrier-based branch lifts.
 
-    A child simplex inherits the admissible charts of its parent top; its
-    lifts average the parent rows of its carrier, staying inside a single
-    branch.  Parent simplices without a branch (pole vertices) propagate
-    their missing entries, which is harmless exactly where it happens.
+    A child simplex inherits the admissible charts of its carrier: the tops
+    containing it are the children of the parent tops containing its
+    carrier, so this is the union rule of ``attach_cover``, whose covers
+    obey it.  Its lifts average the parent rows of its carrier, staying
+    inside a single branch.  Parent simplices without a branch (pole
+    vertices) propagate their missing entries, which is harmless exactly
+    where it happens.
 
     A fine vertex's row depends only on the chart and the carrier whose
     rows it averages, so it is computed once per (chart, carrier) and the
     same row tuple is shared by every child simplex with that carrier
-    (Munkres, *Elements of Algebraic Topology*, section 15).  The average
-    is an integer sum of the parent rows scaled over their common
-    denominator L, made one ``Fraction`` per coordinate.  The result is
-    validated like any other geometry.
+    (Munkres, *Elements of Algebraic Topology*, section 15).  The parent
+    table is scaled once to integers over its common denominator L; an
+    average over m parent rows is then an integer sum over the one child
+    scale ``L2 = L * lcm(1..dim+1)``, and each distinct numerator becomes
+    one ``Fraction(n, L2)``.  The child is validated on that integer table.
     """
-    K = g.covered.complex
-    K2, carriers = barycentric_subdivide(K)
-    tops_admissible = {t: g.covered.admissible_of(carriers[t]) for t in K2.tops}
-    cov2 = attach_cover(K2, g.covered.num_sets, tops_admissible)
+    K2, carriers = barycentric_subdivide(g.covered.complex)
+    adm = {s: g.covered.admissible_of(c) for s, c in carriers.items()}
+    cov2 = CoveredComplex(K2, g.covered.num_sets, adm)
+
+    L, ints = _integer_rows(g.lifts)
+    L2 = L * lcm(*range(1, K2.dim + 2))
+    value = cache(lambda n: Fraction(n, L2))
+
+    @cache
+    def fine(a: int, carrier: Simplex, b: int) -> Tuple[Tuple[int, ...], Row]:
+        """Fine vertex b's row in chart a, over L2 and as Fractions."""
+        parent_rows = ints[(a, carrier)]
+        tau = carriers[(b,)]
+        w = L2 // (L * len(tau))
+        irow = tuple(
+            w * sum(col) for col in zip(*(parent_rows[carrier.index(v)] for v in tau))
+        )
+        return irow, tuple(map(value, irow))
 
     lifts: Dict[Tuple[int, Simplex], Tuple[Row, ...]] = {}
-    bary: Dict[Tuple[int, Simplex, int], Row] = {}
-    L, scaled = _integer_rows(g.lifts)
-    ncoord = len(g.coords)
-    for _, s in K2.all_simplices():
+    ints2: Scaled = {}
+    for s, charts in adm.items():
         carrier = carriers[s]
-        for a in cov2.admissible_of(s):
-            parent_rows = g.lifts.get((a, carrier))
-            if parent_rows is None:
-                continue
-            rows: List[Row] = []
-            for b in s:
-                row = bary.get((a, carrier, b))
-                if row is None:
-                    tau = [
-                        scaled[id(parent_rows[carrier.index(v)])]
-                        for v in carriers[(b,)]
-                    ]
-                    row = bary[(a, carrier, b)] = tuple(
-                        Fraction(sum(r[c] for r in tau), L * len(tau))
-                        for c in range(ncoord)
-                    )
-                rows.append(row)
-            lifts[(a, s)] = tuple(rows)
-    return _validate_geometry(
-        ChartedGeometry(g.name, g.coords, g.periodic, cov2, lifts, parent=g)
+        for a in charts:
+            if (a, carrier) in ints:
+                rows = [fine(a, carrier, b) for b in s]
+                ints2[(a, s)] = tuple([r[0] for r in rows])
+                lifts[(a, s)] = tuple([r[1] for r in rows])
+    return _validate_scaled(
+        ChartedGeometry(g.name, g.coords, g.periodic, cov2, lifts, parent=g), L2, ints2
     )

@@ -296,14 +296,23 @@ def cochain_to_json(c: DeligneCochain) -> dict:
     index_of = {
         k: {s: i for i, s in enumerate(K.simplices(k))} for k in range(K.dim + 1)
     }
+    scale = c.scale
+
+    def value(n: int) -> str:
+        # scalar_to_json's "n/d" of the stored numerator over the scale,
+        # reduced by one gcd, without building a Fraction.
+        g = math.gcd(n, scale)
+        return f"{n // g}/{scale // g}"
+
+    written = value if c.exact else float
     entries = [
         {
             "k": k,
             "simplex": [k, index_of[k][s]],
             "indices": list(J),
-            "value": scalar_to_json(v),
+            "value": written(v),
         }
-        for k, s, J, v in c.entries()
+        for k, s, J, v in c.stored()
     ]
     return {
         "arithmetic": "rational" if c.exact else "float",

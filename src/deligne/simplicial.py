@@ -391,43 +391,37 @@ def barycentric_subdivide(
 
     Each simplex of K gets a barycenter vertex, labeled in order of
     (dimension, lexicographic position), so the vertices of any chain are
-    automatically ascending.  A child top is a maximal chain, one per
-    permutation of the parent's vertex positions (the order in which the
-    chain adds them).  The chain's barycentre matrix is that permutation
-    matrix times a lower-triangular one with positive diagonal, so its
-    barycentric orientation is the permutation's parity; times the
-    parent's, it makes subdivision preserve the fundamental class.  The
-    carrier of a child simplex is the smallest parent simplex containing
-    it, i.e. the largest chain element among its vertices.
+    automatically ascending and every child top is canonical as built.  A
+    child top is a maximal chain, one per permutation of the parent's
+    vertex positions (the order in which the chain adds them); each
+    permutation's parity and sorted position prefixes are computed once,
+    since every top has the same arity.  The chain's barycentre matrix is
+    that permutation matrix times a lower-triangular one with positive
+    diagonal, so its barycentric orientation is the permutation's parity;
+    times the parent's, it makes subdivision preserve the fundamental
+    class.  The carrier of a child simplex is the smallest parent simplex
+    containing it, i.e. the largest chain element among its vertices; the
+    carrier map is keyed in the child complex's simplex order.
     """
     if K.dim < 0:
         raise ComplexError("cannot subdivide the empty complex")
-    label: Dict[Simplex, int] = {}
-    parent_of_label: Dict[int, Simplex] = {}
-    for k, s in K.all_simplices():
-        label[s] = len(label)
-        parent_of_label[label[s]] = s
+    parents = [s for _, s in K.all_simplices()]
+    label = {s: i for i, s in enumerate(parents)}
 
+    n = K.dim + 1
+    chains = [
+        (parity_sort(perm)[1], [tuple(sorted(perm[: m + 1])) for m in range(n)])
+        for perm in permutations(range(n))
+    ]
     tops: List[Simplex] = []
     orient: Dict[Simplex, int] = {}
     for t in K.tops:
-        for perm in permutations(range(len(t))):
-            parity = parity_sort(perm)[1] * K.orientation(t)
-            # The chain's barycentres, ascending by labeling.
-            verts = tuple(
-                label[tuple(t[i] for i in sorted(perm[: m + 1]))]
-                for m in range(len(t))
-            )
-            child = verts if parity == 1 or len(verts) == 1 else (
-                verts[:-2] + (verts[-1], verts[-2])
-            )
-            s, p = sort_with_parity(child)
-            tops.append(s)
-            orient[s] = p
+        # A point keeps parity +1, as build_complex gives it.
+        ot = K.orientation(t) if n > 1 else 1
+        for parity, prefixes in chains:
+            child = tuple(label[tuple(t[i] for i in p)] for p in prefixes)
+            tops.append(child)
+            orient[child] = parity * ot
     tops.sort()
     K2 = SimplicialComplex(tops, orient)
-
-    carriers: Dict[Simplex, Simplex] = {}
-    for _, s in K2.all_simplices():
-        carriers[s] = parent_of_label[max(s)]
-    return K2, carriers
+    return K2, {s: parents[s[-1]] for _, s in K2.all_simplices()}

@@ -225,6 +225,22 @@ def test_subdivided_lifts_match_reference(name):
         g = g2
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_subdivided_cover_matches_attach_cover(name):
+    """A child simplex takes its carrier's charts; the union rule over the
+    child tops, each admissible where its parent top is, gives the same."""
+    g = get_geometry(name)
+    for _ in range(1 if name == "torus3-8chart" else 2):
+        g2 = subdivide_geometry(g)
+        parents = [s for _, s in g.covered.complex.all_simplices()]
+        K2 = g2.covered.complex
+        tops = {t: g.covered.admissible_of(parents[t[-1]]) for t in K2.tops}
+        union = attach_cover(K2, g.covered.num_sets, tops)
+        assert g2.covered.admissible == union.admissible
+        assert g2.covered.num_sets == union.num_sets
+        g = g2
+
+
 # -- validation --------------------------------------------------------------------
 
 F = Fraction
@@ -253,6 +269,28 @@ def test_validate_geometry_accepts_integral_offsets():
     _validate_geometry(hand_geometry(BASE, shifted(2), shifted(-1)))
     # 11/12 of a turn is the widest span that is not a full turn.
     _validate_geometry(hand_geometry({**BASE, 2: (F(11, 12), F(0))}))
+
+
+def test_subdivided_hand_geometry_matches_reference():
+    """BASE's denominators 3 and 4 put the child rows over 12 * lcm(1, 2, 3),
+    which is not a power of two."""
+    g = hand_geometry(BASE, shifted(2))
+    for _ in range(2):
+        g2 = subdivide_geometry(g)
+        ref = reference_subdivided_lifts(g, g2)
+        assert list(g2.lifts) == list(ref)
+        assert all(g2.lifts[key] == rows for key, rows in ref.items())
+        values = (x for rows in g2.lifts.values() for r in rows for x in r)
+        assert all(type(x) is Fraction for x in values)
+        g = g2
+
+
+def test_subdivision_validates_the_children():
+    # hand_geometry skips validation, so only the child check can see this.
+    g = hand_geometry(BASE, shifted(F(1, 12)))
+    with pytest.raises(AnalyticError) as err:
+        subdivide_geometry(g)
+    assert str(err.value) == "non-integral turn offset between charts 0,1 on (0,)"
 
 
 def wrong_arity():

@@ -525,6 +525,17 @@ def test_cochain_from_json_rejects_non_integer_fields(mutate):
         cochain_from_json(doc, COVER)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_cochain_values_are_written_as_scalar_to_json(exact):
+    """Each written value is scalar_to_json of the entry; exact values are
+    reduced, although most numerators share a factor with the scale."""
+    c = random_cochain(COVER, 2, seed=3, exact=exact)
+    written = [e["value"] for e in cochain_to_json(c)["entries"]]
+    assert written == [scalar_to_json(v) for *_, v in c.entries()]
+    if exact:
+        assert any(not v.endswith(f"/{c.scale}") for v in written)
+
+
 def test_cochain_entries_sorted_canonically():
     doc = cochain_to_json(random_cochain(COVER, 2, seed=9))
     keys = [(e["k"], e["simplex"][1], e["indices"]) for e in doc["entries"]]

@@ -1,8 +1,12 @@
-"""Paired A/B of one benchmark workload: a base commit against this checkout.
+"""Paired A/B of benchmark workloads: a base commit against this checkout.
 
 Run from the root of a checkout:
 
     python3 tools/ab.py --workload boundary-transition --pairs 10
+    python3 tools/ab.py --workload all --pairs 10
+
+``--workload all`` runs the pairs of every workload ``BENCHMARK.json``
+declares, one workload after the other, on the same two trees.
 
 The base (``HEAD~1`` unless ``--base`` names another revision) is unpacked
 into a temporary directory with ``git archive <base> | tar -x``.  The change
@@ -18,9 +22,9 @@ command and ``run_seconds`` that ``BENCHMARK.json`` declares and one fixed
 seed, so its numbers are taken as the benchmark takes them.
 
 Printed: each pair's ``setup_s``, ``peak_rss_mb`` and ``op_p50_ms`` for
-base and change, the median of each metric on both sides, the base's
-interquartile range and the number of pairs in which the change is lower.
-The checkout itself is not touched.
+base and change, then one summary row per workload with, for each metric,
+the median on both sides, the base's interquartile range and the number of
+pairs in which the change is lower.  The checkout itself is not touched.
 """
 
 from __future__ import annotations
@@ -67,8 +71,7 @@ def warm(side: Path, env: dict) -> None:
     )
 
 
-def benchmark_command(workload: str) -> list:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+def benchmark_command(spec: dict, workload: str) -> list:
     command = [sys.executable if arg == "python3" else arg for arg in spec["command"]]
     return command + ["--workload", workload, "--seed", str(SEED),
                       "--seconds", str(spec["run_seconds"]), "--trace", "0"]
@@ -92,18 +95,52 @@ def iqr(xs) -> float:
     return q[2] - q[0]
 
 
+def run_pairs(workload: str, command: list, sides: dict, pairs: int, env: dict) -> list:
+    """Alternated base/change runs of one workload; prints each pair."""
+    rows = []
+    print(f"{workload}: {' '.join(command[1:])}")
+    print("pair  " + "  ".join(f"base {m}  change {m}" for m in METRICS))
+    for i in range(pairs):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        row = {name: run(sides[name], command, env) for name in order}
+        rows.append(row)
+        cells = (f"{row[side][m]:>{len(side) + len(m) + 1}.4f}"
+                 for m in METRICS for side in ("base", "change"))
+        print(f"{i:>4}  " + "  ".join(cells), flush=True)
+    return rows
+
+
+def summary(workload: str, rows: list) -> str:
+    """One row: per metric the medians, the base IQR and the change's wins."""
+    cells = []
+    for m in METRICS:
+        b = [r["base"][m] for r in rows]
+        c = [r["change"][m] for r in rows]
+        mb, mc = statistics.median(b), statistics.median(c)
+        wins = sum(1 for x, y in zip(b, c) if y < x)
+        cells.append(f"{m} {mb:.4f} -> {mc:.4f} ({mc / mb - 1:+.1%}, base IQR "
+                     f"{iqr(b):.4f}, lower in {wins}/{len(rows)})")
+    return f"{workload}: " + "; ".join(cells)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of BENCHMARK.json, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD~1")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    command = benchmark_command(args.workload)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workload != "all" and args.workload not in names:
+        parser.error(f"unknown workload {args.workload!r}; known: {names} or 'all'")
+    workloads = names if args.workload == "all" else [args.workload]
     env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     env.pop("PYTHONPATH", None)
+    results = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
         for side in sides.values():
@@ -112,24 +149,12 @@ def main(argv=None) -> int:
         copy_worktree(sides["change"])
         for side in sides.values():
             warm(side, env)
-        rows = []
-        print(f"{args.workload}: base {args.base} against the working tree")
-        print(f"{args.workload}: {' '.join(command[1:])}")
-        print("pair  " + "  ".join(f"base {m}  change {m}" for m in METRICS))
-        for i in range(args.pairs):
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            row = {name: run(sides[name], command, env) for name in order}
-            rows.append(row)
-            cells = (f"{row[side][m]:>{len(side) + len(m) + 1}.4f}"
-                     for m in METRICS for side in ("base", "change"))
-            print(f"{i:>4}  " + "  ".join(cells), flush=True)
-    for m in METRICS:
-        b = [r["base"][m] for r in rows]
-        c = [r["change"][m] for r in rows]
-        mb, mc = statistics.median(b), statistics.median(c)
-        wins = sum(1 for x, y in zip(b, c) if y < x)
-        print(f"{m}: median base {mb:.4f}, change {mc:.4f} ({mc / mb - 1:+.1%});"
-              f" base IQR {iqr(b):.4f}; change lower in {wins} of {len(rows)} pairs")
+        print(f"base {args.base} against the working tree")
+        for w in workloads:
+            command = benchmark_command(spec, w)
+            results[w] = run_pairs(w, command, sides, args.pairs, env)
+    for w, rows in results.items():
+        print(summary(w, rows))
     return 0
 
 
