@@ -10,6 +10,7 @@ tests and report formatting consult :func:`full_turn`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import fsum, isfinite, pi
 from typing import Iterable, Union
@@ -19,6 +20,11 @@ from .errors import CochainError
 Scalar = Union[float, Fraction]
 
 TWO_PI = 2.0 * pi
+
+# The one spelling of a rational that the writer emits and the readers
+# accept: an integer or "n/d".  Fraction() also reads exponents, and
+# expanding one such as "1e10000000" alone takes seconds.
+RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 def full_turn(exact: bool) -> Scalar:
@@ -33,18 +39,24 @@ def zero(exact: bool) -> Scalar:
 def coerce(value, exact: bool) -> Scalar:
     """Coerce an entry value into the active mode.
 
-    Exact mode accepts ints, Fractions and strings like "3/4"; floats are
-    rejected because they carry no exact meaning.  Float mode accepts
-    anything float() does and the same "n/d" strings, but no NaN or
-    infinity.
+    A string is read as a rational when the mode is exact or it has a "/",
+    and then only in the spelling ``RATIONAL``, like "3/4" or "-2".  Exact
+    mode also accepts ints and Fractions; floats are rejected because they
+    carry no exact meaning.  Float mode accepts anything float() does, but
+    no NaN, infinity or value too large for a float.
     """
+    if isinstance(value, str) and (exact or "/" in value):
+        if not RATIONAL.fullmatch(value):
+            raise ValueError("rational values must be written as 'n/d' strings")
+        value = Fraction(value)
     if exact:
         if isinstance(value, float):
             raise TypeError("exact mode requires rational values, got a float")
         return Fraction(value)
-    if isinstance(value, str) and "/" in value:
-        value = Fraction(value)
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError("value too large for a float") from None
     if not isfinite(x):
         raise ValueError(f"non-finite value {value!r}")
     return x

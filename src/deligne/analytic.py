@@ -143,28 +143,31 @@ def _angle_count(t: FormTerm, periodic: Sequence[bool]) -> int:
     return n
 
 
-def _rational_guard(t: FormTerm, geom: ChartedGeometry) -> None:
-    if not isinstance(t.coeff, Fraction):
-        raise AnalyticError(
-            "rational discretization needs rational fixture parameters"
-        )
-    if _angle_count(t, geom.periodic) != 1:
-        raise AnalyticError(
-            "term mixes angle factors; its integral is not rational in turns"
-        )
+def _term_value(
+    t: FormTerm, geom: ChartedGeometry, x: Scalar, exact: bool
+) -> Scalar:
+    """One term's value, its coefficient times the geometric factor ``x``.
 
-
-def _radians(t: FormTerm, periodic: Sequence[bool]) -> float:
-    """A term's coefficient as a float, with its turn factors in radians.
-
-    A Fraction coefficient carries ``angle_power`` turns (a float one is in
-    radians already), and each periodic coordinate of the linear factor or
-    the wedge is a lift in turns; every turn is worth 2*pi.
+    Exact mode needs a Fraction coefficient and exactly one turn factor, so
+    the value is rational in turns.  In float mode a Fraction coefficient
+    carries ``angle_power`` turns (a float one is in radians already), and
+    each periodic coordinate of the linear factor or the wedge is a lift in
+    turns; every turn is worth 2*pi.
     """
-    turns = _angle_count(t, periodic)
+    turns = _angle_count(t, geom.periodic)
+    if exact:
+        if not isinstance(t.coeff, Fraction):
+            raise AnalyticError(
+                "rational discretization needs rational fixture parameters"
+            )
+        if turns != 1:
+            raise AnalyticError(
+                "term mixes angle factors; its integral is not rational in turns"
+            )
+        return t.coeff * x
     if not isinstance(t.coeff, Fraction):
         turns -= t.angle_power
-    return float(t.coeff) * TWO_PI ** turns
+    return float(t.coeff) * TWO_PI ** turns * float(x)
 
 
 # -- evaluation and integration --------------------------------------------------
@@ -182,11 +185,7 @@ def evaluate_scalar(
             1 if t.linear is None
             else geom.vertex_value(t.linear[1], v, t.linear[0])
         )
-        if exact:
-            _rational_guard(t, geom)
-            parts.append(t.coeff * branch)
-        else:
-            parts.append(_radians(t, geom.periodic) * float(branch))
+        parts.append(_term_value(t, geom, branch, exact))
     return tree_sum(parts, exact)
 
 
@@ -228,11 +227,7 @@ def integrate_form(
         factor = det / math.factorial(k)
         if t.linear is not None:
             factor *= sum(r[t.linear[0]] for r in rows) / len(rows)
-        if exact:
-            _rational_guard(t, geom)
-            parts.append(t.coeff * factor)
-        else:
-            parts.append(_radians(t, geom.periodic) * float(factor))
+        parts.append(_term_value(t, geom, factor, exact))
     return tree_sum(parts, exact)
 
 

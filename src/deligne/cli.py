@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from ._scalars import exceeds, wrap_distance
+from ._scalars import RATIONAL, exceeds, wrap_distance
 from .analytic import (
     AnalyticClassPresentation,
     cup_product,
@@ -261,12 +260,8 @@ def _parse_value(raw: str):
         return int(raw)
     except ValueError:
         pass
-    if "/" in raw:
-        try:
-            Fraction(raw)
-            return raw  # kept as a string; coerced by the fixture
-        except ValueError:
-            pass
+    if RATIONAL.fullmatch(raw):
+        return raw  # kept as a string; coerced by the fixture
     try:
         return float(raw)
     except ValueError:

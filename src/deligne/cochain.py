@@ -44,6 +44,7 @@ from .simplicial import (
     Simplex,
     SimplicialComplex,
     disjoint_union,
+    facets_of,
     glue_along_boundary,
     parity_sort,
     reverse_orientation,
@@ -239,23 +240,18 @@ def _residual(gap: Scalar, scale: int, exact: bool) -> Scalar:
     return Fraction(r, scale) if exact and r else r
 
 
-Facets = List[Tuple[int, Simplex]]
-
-
-def _facets(s: Simplex) -> Facets:
-    """(incidence sign (-1)^j, s without vertex j) for each j."""
-    return [(-1 if j & 1 else 1, s[:j] + s[j + 1:]) for j in range(len(s))]
+Facets = Tuple[Tuple[Simplex, int], ...]
 
 
 def _slots(
     base: CoveredComplex, k: int, length: int
 ) -> Iterator[Tuple[Simplex, Facets, MultiIndex]]:
-    """(s, _facets(s), J) for every k-simplex s and increasing admissible J
+    """(s, facets_of(s), J) for every k-simplex s and increasing admissible J
     of the given length; the facets are built once per simplex that has a
     J at all."""
     for s in base.complex.simplices(k):
         if len(base.admissible_of(s)) >= length:
-            facets = _facets(s)
+            facets = facets_of(s)
             for J in base.multi_indices(s, length):
                 yield s, facets, J
 
@@ -271,9 +267,9 @@ def _delta(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Sc
 
 def _d(values: Values, exact: bool, k: int, facets: Facets, J: MultiIndex) -> Scalar:
     """Kernel: (d X^(k-1))(s, J) for a canonical k-simplex s given as its
-    ``_facets(s)``, which callers build once per simplex."""
+    ``facets_of(s)``, which callers build once per simplex."""
     get = values.get
-    terms = [sign * get((k - 1, f, J), 0) for sign, f in facets]
+    terms = [sign * get((k - 1, f, J), 0) for f, sign in facets]
     return sum(terms) if exact else tree_sum(terms, False)
 
 
@@ -317,7 +313,7 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     J, pj = parity_sort(tuple(indices))
     if pj == 0:
         return zero(c.exact)
-    value = _d(c._data, c.exact, len(s) - 1, _facets(s), J)
+    value = _d(c._data, c.exact, len(s) - 1, facets_of(s), J)
     return _unscaled(ps * pj * value, c.scale, c.exact)
 
 
@@ -475,7 +471,7 @@ def _shift_value(
     J: MultiIndex,
 ) -> Scalar:
     """Kernel: (c + D(b))^k at canonical (s, J), with b^p treated as 0;
-    ``facets`` is ``_facets(s)``."""
+    ``facets`` is ``facets_of(s)``."""
     value = cv.get((k, s, J), 0)
     if k < p:
         value = value + _delta(bv, exact, k, s, J)
@@ -548,7 +544,7 @@ def verify_trivialization(
     spread = zero(exact)
     ok = not lower_failing
     for s in K.simplices(p):
-        facets = _facets(s)
+        facets = facets_of(s)
         values = [
             _unscaled(cv.get((p, s, J), 0) - _d(bv, exact, p, facets, J), scale, exact)
             for J in c.base.multi_indices(s, 1)

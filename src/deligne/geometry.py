@@ -22,11 +22,13 @@ admissible chart.  The grid tori, circles, annulus and solid torus are all
 built by it; the sphere keeps an explicit per-simplex table, since its
 poles have no vertex branch.
 
-Validation works on one integer scale per table: every row over a common
-multiple L of the table's denominators, so a full turn is L.  A built
-table is scaled once to its lcm; a subdivided table is made on its child
-scale directly, from integer sums of the parent's scaled rows, and is
-validated there without being scaled again.
+One validator: ``_validate_geometry`` scales a Fraction table once to
+integers over its lcm L, so a full turn is L, runs every check there and
+returns the scaled table.  The built geometries are validated where their
+rows are made.  A subdivided geometry is not checked: its rows are averages
+of its carriers' rows in the same charts, so it keeps every span bound and
+constant offset of its parent, which ``subdivide_geometry`` validates since
+it needs the parent's scaled table anyway.
 """
 
 from __future__ import annotations
@@ -91,39 +93,25 @@ class ChartedGeometry:
         return int(d)
 
 
-def _integer_rows(
-    lifts: Mapping[Tuple[int, Simplex], Tuple[Row, ...]]
-) -> Tuple[int, Scaled]:
-    """The lcm L of all row denominators of a lift table, and the table on
-    integers over L: each distinct row object is scaled once, and a row
-    the table shares stays one shared tuple."""
-    rows_by_id = {id(r): r for rows in lifts.values() for r in rows}
+def _validate_geometry(g: ChartedGeometry) -> Tuple[int, Scaled]:
+    """Check g's lifts; return the lcm L of their denominators and the
+    table on integers over L, so a full turn is L.  Each distinct row
+    object is scaled once, and a row the table shares stays one tuple.
+
+    Every lift has its simplex's arity.  Offsets between coexisting charts
+    must be constant per simplex and integral (turns) in periodic
+    coordinates; each branch must span less than a full turn so no simplex
+    straddles a cut.  A span fails at ``max - min >= L``, an offset is
+    integral when ``d % L == 0``, and constancy and agreement are int
+    compares.
+    """
+    rows_by_id = {id(r): r for rows in g.lifts.values() for r in rows}
     L = lcm(*{x.denominator for r in rows_by_id.values() for x in r})
     scaled = {
         i: tuple(x.numerator * (L // x.denominator) for x in r)
         for i, r in rows_by_id.items()
     }
-    return L, {key: tuple(scaled[id(r)] for r in rows) for key, rows in lifts.items()}
-
-
-def _validate_geometry(g: ChartedGeometry) -> ChartedGeometry:
-    """Check g's Fraction lifts: scale them once to integers over their
-    common denominator and run :func:`_validate_scaled`; return g."""
-    return _validate_scaled(g, *_integer_rows(g.lifts))
-
-
-def _validate_scaled(g: ChartedGeometry, L: int, ints: Scaled) -> ChartedGeometry:
-    """Check g's lifts, given as ``ints``: the same keys and arities, every
-    row on integers over L, a common multiple of the reduced denominators
-    (so a full turn is L); return g.
-
-    Offsets between coexisting charts must be constant per simplex and
-    integral (turns) in periodic coordinates; each branch must span less
-    than a full turn so no simplex straddles a cut.  A span fails at
-    ``max - min >= L``, an offset is integral when ``d % L == 0``, and
-    constancy and agreement are int compares, so every verdict is the same
-    for any such L.
-    """
+    ints = {key: tuple(scaled[id(r)] for r in rows) for key, rows in g.lifts.items()}
     ncoord = len(g.coords)
     periodic = [c for c in range(ncoord) if g.periodic[c]]
     for _, s in g.covered.complex.all_simplices():
@@ -161,7 +149,7 @@ def _validate_scaled(g: ChartedGeometry, L: int, ints: Scaled) -> ChartedGeometr
                             f"non-periodic coordinate {g.coords[c]} disagrees "
                             f"between charts {a},{b} on {s}"
                         )
-    return g
+    return L, ints
 
 
 def _oriented(verts: Sequence[int], rows_by_vertex: Mapping[int, Row]) -> Tuple[int, ...]:
@@ -219,7 +207,9 @@ def _charted(
         for _, s in cov.complex.all_simplices()
         for a in cov.admissible_of(s)
     }
-    return _validate_geometry(ChartedGeometry(name, coords, periodic, cov, lifts))
+    g = ChartedGeometry(name, coords, periodic, cov, lifts)
+    _validate_geometry(g)
+    return g
 
 
 # -- grid tori ----------------------------------------------------------------
@@ -385,11 +375,11 @@ def sphere_octahedron_geometry() -> ChartedGeometry:
             put(chart, {a: A})
             put(chart, {b: B})
     cov = attach_cover(build_complex(list(admissible)), 8, admissible)
-    return _validate_geometry(
-        ChartedGeometry(
-            "sphere-octahedron-2chart", ("theta", "u"), (True, False), cov, lifts
-        )
+    g = ChartedGeometry(
+        "sphere-octahedron-2chart", ("theta", "u"), (True, False), cov, lifts
     )
+    _validate_geometry(g)
+    return g
 
 
 # -- registry and subdivision ---------------------------------------------------
@@ -431,40 +421,45 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     A fine vertex's row depends only on the chart and the carrier whose
     rows it averages, so it is computed once per (chart, carrier) and the
     same row tuple is shared by every child simplex with that carrier
-    (Munkres, *Elements of Algebraic Topology*, section 15).  The parent
-    table is scaled once to integers over its common denominator L; an
-    average over m parent rows is then an integer sum over the one child
-    scale ``L2 = L * lcm(1..dim+1)``, and each distinct numerator becomes
-    one ``Fraction(n, L2)``.  The child is validated on that integer table.
+    (Munkres, *Elements of Algebraic Topology*, section 15).  The parent is
+    validated, which scales its table once to integers over its common
+    denominator L; an average over m parent rows is then an integer sum
+    over the one child scale ``L2 = L * lcm(1..dim+1)``, and each distinct
+    numerator becomes one ``Fraction(n, L2)``.
+
+    The child is valid because its parent is, so it is not checked again:
+
+    - Spans: a child simplex's rows in chart a are convex combinations of
+      its carrier's rows in chart a, so no child spans more than its
+      carrier.
+    - Offsets: for two charts a and b on the carrier, the same weights
+      apply to rows that differ by the constant d, so the children differ
+      by exactly d.
+    - Charts and arity: each child's charts are its carrier's, and its
+      arity holds by construction.
     """
+    L, ints = _validate_geometry(g)
     K2, carriers = barycentric_subdivide(g.covered.complex)
     adm = {s: g.covered.admissible_of(c) for s, c in carriers.items()}
     cov2 = CoveredComplex(K2, g.covered.num_sets, adm)
-
-    L, ints = _integer_rows(g.lifts)
     L2 = L * lcm(*range(1, K2.dim + 2))
     value = cache(lambda n: Fraction(n, L2))
 
     @cache
-    def fine(a: int, carrier: Simplex, b: int) -> Tuple[Tuple[int, ...], Row]:
-        """Fine vertex b's row in chart a, over L2 and as Fractions."""
+    def fine(a: int, carrier: Simplex, b: int) -> Row:
+        """Fine vertex b's row in chart a."""
         parent_rows = ints[(a, carrier)]
         tau = carriers[(b,)]
         w = L2 // (L * len(tau))
-        irow = tuple(
-            w * sum(col) for col in zip(*(parent_rows[carrier.index(v)] for v in tau))
+        return tuple(
+            value(w * sum(col))
+            for col in zip(*(parent_rows[carrier.index(v)] for v in tau))
         )
-        return irow, tuple(map(value, irow))
 
-    lifts: Dict[Tuple[int, Simplex], Tuple[Row, ...]] = {}
-    ints2: Scaled = {}
-    for s, charts in adm.items():
-        carrier = carriers[s]
-        for a in charts:
-            if (a, carrier) in ints:
-                rows = [fine(a, carrier, b) for b in s]
-                ints2[(a, s)] = tuple([r[0] for r in rows])
-                lifts[(a, s)] = tuple([r[1] for r in rows])
-    return _validate_scaled(
-        ChartedGeometry(g.name, g.coords, g.periodic, cov2, lifts, parent=g), L2, ints2
-    )
+    lifts = {
+        (a, s): tuple([fine(a, carrier, b) for b in s])
+        for s, carrier in carriers.items()
+        for a in adm[s]
+        if (a, carrier) in ints
+    }
+    return ChartedGeometry(g.name, g.coords, g.periodic, cov2, lifts, parent=g)

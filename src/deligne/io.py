@@ -29,7 +29,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from ._scalars import Scalar
+from ._scalars import RATIONAL, Scalar
 from .cochain import DeligneCochain, build_cochain
 from .cover import CoveredComplex, IndexMap, attach_cover, make_index_map
 from .errors import DeligneError
@@ -57,7 +57,7 @@ def scalar_to_json(x: Scalar):
 
 def scalar_from_json(v, exact: bool) -> Scalar:
     if exact:
-        if not isinstance(v, str):
+        if not (isinstance(v, str) and RATIONAL.fullmatch(v)):
             raise SchemaError("rational values must be 'n/d' strings")
         return Fraction(v)
     if isinstance(v, bool) or not isinstance(v, (int, float)):

@@ -416,8 +416,7 @@ def barycentric_subdivide(
     tops: List[Simplex] = []
     orient: Dict[Simplex, int] = {}
     for t in K.tops:
-        # A point keeps parity +1, as build_complex gives it.
-        ot = K.orientation(t) if n > 1 else 1
+        ot = K.orientation(t)
         for parity, prefixes in chains:
             child = tuple(label[tuple(t[i] for i in p)] for p in prefixes)
             tops.append(child)

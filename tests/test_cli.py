@@ -165,6 +165,38 @@ def test_fixture_rational_refuses_float_parameter(capsys):
     assert err.strip()
 
 
+def test_rational_cochain_value_in_exponent_form_exits_1(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="exp")
+    doc = read_json(paths[2])
+    assert doc["arithmetic"] == "rational"
+    doc["entries"][0]["value"] = "1e5"
+    write_canonical(paths[2], doc)
+    code, out, err = run(capsys, "holonomy", *paths)
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "'n/d'" in err
+
+
+@pytest.mark.parametrize(
+    "fixture, params",
+    [("flat_circle", {"theta": "1e5"}), ("winding_function", {"w": 1, "offset": "1e5"})],
+)
+def test_rational_request_parameter_in_exponent_form_exits_1(
+    capsys, tmp_path, fixture, params
+):
+    req = str(tmp_path / "req.json")
+    write_canonical(req, {"fixture": fixture, "params": params})
+    code, out, err = run(capsys, "fixture", "--request", req, "--arithmetic", "rational")
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "'n/d'" in err
+
+
+def test_fixture_parameter_too_large_for_a_float_exits_1(capsys):
+    theta = "1" + "0" * 400 + "/1"
+    code, out, err = run(capsys, "fixture", "flat_circle", "--params", f"theta={theta}")
+    assert code == 1 and out == ""
+    assert err.startswith("deligne:") and "too large" in err
+
+
 def test_monopole_rational_curvature_round_trip(capsys, tmp_path):
     paths = save_fixture(
         capsys,

@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deligne import (
     AnalyticError,
@@ -335,6 +336,40 @@ def test_validate_geometry_messages(make, message):
         _validate_geometry(g)
     assert str(err.value) == message
 
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_subdivided_geometries_stay_valid(name):
+    """The child is not validated by subdivide_geometry; it need not be."""
+    g = get_geometry(name)
+    for _ in range(1 if name == "torus3-8chart" else 2):
+        g = subdivide_geometry(g)
+        _validate_geometry(g)
+
+
+def test_subdivision_of_a_malformed_parent_raises_the_validator_message():
+    with pytest.raises(AnalyticError) as err:
+        subdivide_geometry(wrong_arity())
+    assert str(err.value) == "lift of (0, 1) in chart 0 has wrong arity"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    thetas=st.lists(st.integers(0, 11), min_size=3, max_size=3),
+    heights=st.lists(st.fractions(-2, 2, max_denominator=6), min_size=3, max_size=3),
+    offsets=st.lists(st.integers(-3, 3), max_size=3),
+)
+def test_valid_hand_triangle_stays_valid_under_subdivision(thetas, heights, offsets):
+    """Angles in twelfths of a turn, so a span is at most 11/12; every
+    further chart is the first one shifted by a whole number of turns."""
+    rows = {v: (F(t, 12), h) for v, (t, h) in enumerate(zip(thetas, heights))}
+    charts = [rows] + [
+        {v: (r[0] + d, r[1]) for v, r in rows.items()} for d in offsets
+    ]
+    g = hand_geometry(*charts)
+    _validate_geometry(g)
+    for _ in range(2):
+        g = subdivide_geometry(g)
+        _validate_geometry(g)
 
 
 # Digests of each shipped geometry, coarse and once subdivided (torus3

@@ -100,6 +100,12 @@ def test_scalar_from_json_rational_rejects_numbers():
         scalar_from_json(0.75, exact=True)
 
 
+@pytest.mark.parametrize("bad", ["1e5", "1e10000000", "0.75", "3/4 ", "-"])
+def test_scalar_from_json_rational_refuses_other_spellings(bad):
+    with pytest.raises(SchemaError):
+        scalar_from_json(bad, exact=True)
+
+
 def test_scalar_from_json_float_accepts_ints():
     v = scalar_from_json(3, exact=False)
     assert isinstance(v, float) and v == 3.0

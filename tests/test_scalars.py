@@ -59,6 +59,30 @@ def test_coerce_exact_rejects_floats():
         coerce(0.5, True)
 
 
+@pytest.mark.parametrize("spelled", ["3", "-3/4", "+2/6", "0/5"])
+def test_coerce_exact_reads_the_writers_spelling(spelled):
+    assert coerce(spelled, True) == Fraction(spelled)
+
+
+@pytest.mark.parametrize("bad", ["1e5", "1e10000000", "0.5", " 3/4", "1/2/3", "1_0/3", ""])
+def test_coerce_exact_refuses_other_spellings(bad):
+    with pytest.raises(ValueError):
+        coerce(bad, True)
+
+
+@pytest.mark.parametrize("bad", [" 3/4", "1/2/3", "1_0/3", "1e5/3", "0.5/2"])
+def test_coerce_float_mode_reads_fractions_in_the_same_spelling(bad):
+    assert coerce("-3/4", False) == -0.75
+    with pytest.raises(ValueError):
+        coerce(bad, False)
+
+
+@pytest.mark.parametrize("big", [10**400, "1" + "0" * 400 + "/1"])
+def test_coerce_float_mode_refuses_values_too_large_for_a_float(big):
+    with pytest.raises(ValueError):
+        coerce(big, False)
+
+
 def test_coerce_float_mode_flattens():
     assert coerce(Fraction(1, 2), False) == 0.5
     assert coerce("2.5", False) == 2.5

@@ -382,3 +382,11 @@ def test_subdivision_orientations_match_determinant_rule(seed):
     K = build_complex(tops)
     K2, _ = barycentric_subdivide(K)
     assert {t: K2.orientation(t) for t in K2.tops} == determinant_rule_subdivision(K)
+
+
+def test_subdivided_point_boundary_keeps_orientations():
+    B = boundary_restrict(build_complex([(0, 1)]))
+    assert {t: B.orientation(t) for t in B.tops} == {(0,): -1, (1,): 1}
+    B2, carriers = barycentric_subdivide(B)
+    assert {t: B2.orientation(t) for t in B2.tops} == {(0,): -1, (1,): 1}
+    assert all(carriers[t] == t for t in B2.tops)
