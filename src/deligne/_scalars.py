@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import fsum, isfinite, pi
-from typing import Iterable, Union
+from typing import Iterable, List, Union
 
 from .errors import CochainError
 
@@ -98,17 +98,24 @@ def integer_residual(x: Scalar, exact: bool) -> tuple[int, Scalar]:
 def tree_sum(values: Iterable[Scalar], exact: bool) -> Scalar:
     """Deterministic sum, independent of how the caller batched the terms.
 
-    Floats use one math.fsum (exact up to one final rounding, hence stable
-    under reordering of equal inputs; NaN passes through, an overflow or
-    inf - inf raises CochainError); exact values add exactly.
+    One group of :func:`group_sums`; no terms give the typed zero.
     """
     vals = list(values)
     if not vals:
         return zero(exact)
+    return group_sums([vals], exact)[0]
+
+
+def group_sums(groups: Iterable[Iterable[Scalar]], exact: bool) -> List[Scalar]:
+    """The sum of each group of terms.
+
+    Floats use one math.fsum per group (exact up to one final rounding,
+    hence stable under reordering of equal inputs; NaN passes through, an
+    overflow or inf - inf raises CochainError); exact values add exactly.
+    """
     if exact:
-        return sum(vals)
+        return [sum(g) for g in groups]
     try:
-        return fsum(vals)
+        return [fsum(g) for g in groups]
     except (OverflowError, ValueError) as e:
         raise CochainError(f"float sum failed: {e}") from None
-

@@ -16,28 +16,42 @@ The cocycle conditions use the fixed sign convention
 
 with level 0 replaced by integrality: delta C^0 must land in 2*pi*Z.
 
-Both differentials are evaluated by one kernel on canonical keys only:
-dropping one index from an increasing multi-index keeps it increasing, and
-the facets of a canonical simplex are canonical, so every term is one dict
-lookup with no sorting.  An exact cochain stores Python-int numerators over
-one ``scale``, the lcm of its entries' reduced denominators, and every
-operation returns that canonical form.  Whole-cochain passes (validation,
-the gauge move, trivialization and Chern class extraction) sum the stored
-ints in place; two cochains are rescaled only when their scales differ.  A
-Fraction is built only for a value handed out or a nonzero residual.  Float
-mode stores floats over scale 1 and sums the same terms with math.fsum.
-The flag sums' word kernel does the same, with one parity sort per chart
-word.
+Whole-cochain passes (validation, the gauge move, trivialization and
+Chern class extraction) evaluate both differentials with one per-simplex
+kernel on canonical keys: dropping one index from an increasing
+multi-index keeps it increasing, and the facets of a canonical simplex
+are canonical, so no key is ever sorted.  For a k-simplex s with m
+admissible charts and multi-indices J of length n, the kernel reads the
+values of X^k over the (n-1)-subsets of the charts once, one dict lookup
+per stored slot, into a list followed by its negations.  An omission
+template for (m, n), built once per pass, has one row per J: an
+itemgetter that picks the terms (-1)^j X(J without J[j]) from that list,
+so (delta X)(s, J) is the sum of one row.  (d Y^(k-1))(s, J) reads each
+facet's values over the same J as columns and sums them row by row.
+``cech_delta`` and ``discrete_d`` evaluate one slot term by term.
+
+An exact cochain stores Python-int numerators over one ``scale``, the lcm
+of its entries' reduced denominators, and every operation returns that
+canonical form.  Whole-cochain passes sum the stored ints in place; two
+cochains are rescaled only when their scales differ.  A Fraction is built
+only for a value handed out or a nonzero residual.  Float mode stores
+floats over scale 1 and sums each row with one math.fsum, which rounds
+the exact sum of its terms once.  A row holds the same multiset of terms
+as the term-by-term evaluators, in the same order, so float results are
+bit-identical to theirs.  The flag sums' word kernel sums its terms the
+same way, with one parity sort per chart word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from itertools import combinations
+from math import comb, gcd, isfinite, lcm
+from operator import add, itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ._scalars import TWO_PI, Scalar, coerce, exceeds, integer_residual, tree_sum, zero
+from ._scalars import TWO_PI, Scalar, coerce, exceeds, group_sums, integer_residual, tree_sum, zero
 from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
@@ -240,37 +254,65 @@ def _residual(gap: Scalar, scale: int, exact: bool) -> Scalar:
     return Fraction(r, scale) if exact and r else r
 
 
-Facets = Tuple[Tuple[Simplex, int], ...]
+def _omissions(m: int, n: int) -> List[itemgetter]:
+    """The Čech delta's template for m charts and multi-indices of length
+    n >= 2: row r belongs to the r-th n-subset J of range(m) in
+    combinations order.  It picks, from the values over the (n-1)-subsets
+    of range(m) in combinations order followed by their negations, the
+    terms (-1)^j X(J without J[j]) for j = 0..n-1, in that order.
+
+    ``combinations(J, n - 1)`` omits J[n-1] first, hence the reversal."""
+    rank = {K: i for i, K in enumerate(combinations(range(m), n - 1))}.__getitem__
+    N = comb(m, n - 1)
+    offsets = [N * ((n - 1 - i) & 1) for i in range(n)]
+    rows = []
+    for J in combinations(range(m), n):
+        row = list(map(add, map(rank, combinations(J, n - 1)), offsets))
+        row.reverse()
+        rows.append(itemgetter(*row))
+    return rows
 
 
-def _slots(
-    base: CoveredComplex, k: int, length: int
-) -> Iterator[Tuple[Simplex, Facets, MultiIndex]]:
-    """(s, facets_of(s), J) for every k-simplex s and increasing admissible J
-    of the given length; the facets are built once per simplex that has a
-    J at all."""
+def _coboundaries(
+    base: CoveredComplex,
+    k: int,
+    n: int,
+    xv: Optional[Values],
+    yv: Optional[Values],
+    exact: bool,
+) -> Iterator[Tuple[Simplex, List[MultiIndex], Optional[List[Scalar]], Optional[List[Scalar]]]]:
+    """Kernel: (s, Js, delta, d) for each canonical k-simplex s with at
+    least n admissible charts.
+
+    Js are its increasing admissible n-tuples in combinations order;
+    delta[r] = (delta X^k)(s, Js[r]) over the value map ``xv`` and
+    d[r] = (d Y^(k-1))(s, Js[r]) over ``yv``, each None where its map is.
+    X's values over s are read once, one lookup per (n-1)-tuple, and each
+    delta is one sum of a template row over them; Y's values are read
+    once per facet and n-tuple.  Every sum takes its terms in the order
+    of the alternating and the facet sum.  The templates live as long as
+    the generator."""
+    templates: Dict[int, List[itemgetter]] = {}
     for s in base.complex.simplices(k):
-        if len(base.admissible_of(s)) >= length:
-            facets = facets_of(s)
-            for J in base.multi_indices(s, length):
-                yield s, facets, J
-
-
-def _delta(values: Values, exact: bool, k: int, s: Simplex, J: MultiIndex) -> Scalar:
-    """Kernel: (delta X^k)(s, J) for canonical s and increasing J."""
-    get = values.get
-    terms = [
-        (-1 if j & 1 else 1) * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))
-    ]
-    return sum(terms) if exact else tree_sum(terms, False)
-
-
-def _d(values: Values, exact: bool, k: int, facets: Facets, J: MultiIndex) -> Scalar:
-    """Kernel: (d X^(k-1))(s, J) for a canonical k-simplex s given as its
-    ``facets_of(s)``, which callers build once per simplex."""
-    get = values.get
-    terms = [sign * get((k - 1, f, J), 0) for f, sign in facets]
-    return sum(terms) if exact else tree_sum(terms, False)
+        charts = base.admissible_of(s)
+        m = len(charts)
+        if m < n:
+            continue
+        Js = list(combinations(charts, n))
+        delta = d = None
+        if xv is not None:
+            get = xv.get
+            terms = [get((k, s, K), 0) for K in combinations(charts, n - 1)]
+            terms += [-x for x in terms]
+            rows = templates.get(m)
+            if rows is None:
+                rows = templates[m] = _omissions(m, n)
+            delta = group_sums([row(terms) for row in rows], exact)
+        if yv is not None:
+            get = yv.get
+            columns = [[sign * get((k - 1, f, J), 0) for J in Js] for f, sign in facets_of(s)]
+            d = group_sums(zip(*columns), exact)
+        yield s, Js, delta, d
 
 
 def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
@@ -296,8 +338,9 @@ def cech_delta(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     J, pj = parity_sort(tuple(indices))
     if pj == 0:
         return zero(c.exact)
-    value = _delta(c._data, c.exact, len(s) - 1, s, J)
-    return _unscaled(ps * pj * value, c.scale, c.exact)
+    get, k = c._data.get, len(s) - 1
+    terms = [(-1 if j & 1 else 1) * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))]
+    return _unscaled(ps * pj * tree_sum(terms, c.exact), c.scale, c.exact)
 
 
 def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
@@ -313,8 +356,9 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     J, pj = parity_sort(tuple(indices))
     if pj == 0:
         return zero(c.exact)
-    value = _d(c._data, c.exact, len(s) - 1, facets_of(s), J)
-    return _unscaled(ps * pj * value, c.scale, c.exact)
+    get, k = c._data.get, len(s) - 1
+    terms = [sign * get((k - 1, f, J), 0) for f, sign in facets_of(s)]
+    return _unscaled(ps * pj * tree_sum(terms, c.exact), c.scale, c.exact)
 
 
 def _nearest_turn(x: Scalar, scale: int, exact: bool) -> Tuple[Optional[int], Scalar]:
@@ -373,7 +417,6 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     Passing sets the cochain's ``cocycle`` flag; failing clears it.
     """
     p = c.degree
-    K = c.base.complex
     exact = c.exact
     values, scale = c._data, c.scale
     worst: Dict[int, Scalar] = {}
@@ -383,10 +426,10 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     # Level 0 residuals are measured in turns: |delta C^0 / 2pi - n|.
     count = 0
     top = zero(exact)
-    for v in K.simplices(0):
-        for J in c.base.multi_indices(v, p + 2):
-            n, residual = _nearest_turn(_delta(values, exact, 0, v, J), scale, exact)
-            count += 1
+    for v, Js, delta, _ in _coboundaries(c.base, 0, p + 2, values, None, exact):
+        count += len(Js)
+        for J, x in zip(Js, delta):
+            n, residual = _nearest_turn(x, scale, exact)
             if not residual:  # neither the worst nor a breach
                 continue
             if _worse(residual, top):
@@ -400,17 +443,17 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
         count = 0
         top = zero(exact)
         sign = (-1) ** (p - k)
-        for s, facets, J in _slots(c.base, k, p - k + 2):
-            d = _d(values, exact, k, facets, J)
-            gap = _delta(values, exact, k, s, J) - sign * d
-            count += 1
-            if not gap:
-                continue
-            residual = _residual(gap, scale, exact)
-            if _worse(residual, top):
-                top = residual
-            if exceeds(residual, tol, exact):
-                failing.append(FailedCondition(k, s, J, residual))
+        for s, Js, delta, d in _coboundaries(c.base, k, p - k + 2, values, values, exact):
+            count += len(Js)
+            for J, x, y in zip(Js, delta, d):
+                gap = x - sign * y
+                if not gap:
+                    continue
+                residual = _residual(gap, scale, exact)
+                if _worse(residual, top):
+                    top = residual
+                if exceeds(residual, tol, exact):
+                    failing.append(FailedCondition(k, s, J, residual))
         worst[k] = top
         checked[k] = count
 
@@ -460,25 +503,27 @@ def dual(c: DeligneCochain) -> DeligneCochain:
     return DeligneCochain(c.base, c.degree, data, c.exact, c.cocycle, c.scale)
 
 
-def _shift_value(
-    cv: Values,
-    bv: Values,
-    exact: bool,
-    p: int,
-    k: int,
-    s: Simplex,
-    facets: Facets,
-    J: MultiIndex,
-) -> Scalar:
-    """Kernel: (c + D(b))^k at canonical (s, J), with b^p treated as 0;
-    ``facets`` is ``facets_of(s)``."""
-    value = cv.get((k, s, J), 0)
-    if k < p:
-        value = value + _delta(bv, exact, k, s, J)
-    if k >= 1:
-        d = _d(bv, exact, k, facets, J)
-        value = value - d if (p - k) & 1 else value + d
-    return value
+def _shifted(
+    base: CoveredComplex, cv: Values, bv: Values, exact: bool, p: int, k: int
+) -> Iterator[Tuple[Simplex, List[MultiIndex], List[Scalar]]]:
+    """Kernel: (s, Js, values) per k-simplex s with values[r] the level-k
+    entry of c + D(b) at (s, Js[r]), from the value maps of c and b, with
+    b^p treated as 0; each is (c + delta b) +- d b, in that order."""
+    n = p - k + 1
+    odd = (p - k) & 1
+    get = cv.get
+    xv = bv if k < p else None
+    yv = bv if k >= 1 else None
+    for s, Js, delta, d in _coboundaries(base, k, n, xv, yv, exact):
+        values = [get((k, s, J), 0) for J in Js]
+        if delta is not None:
+            values = [v + x for v, x in zip(values, delta)]
+        if d is not None:
+            if odd:
+                values = [v - y for v, y in zip(values, d)]
+            else:
+                values = [v + y for v, y in zip(values, d)]
+        yield s, Js, values
 
 
 def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
@@ -491,10 +536,10 @@ def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
     (cv, bv), scale = _scaled(c, b)
     data: Dict[Key, Scalar] = {}
     for k in range(0, p + 1):
-        for s, facets, J in _slots(c.base, k, p - k + 1):
-            v = _shift_value(cv, bv, exact, p, k, s, facets, J)
-            if v != 0:
-                data[(k, s, J)] = v
+        for s, Js, values in _shifted(c.base, cv, bv, exact, p, k):
+            for J, v in zip(Js, values):
+                if v != 0:
+                    data[(k, s, J)] = v
     return _canonical(DeligneCochain(c.base, p, data, exact, c.cocycle, scale))
 
 
@@ -524,30 +569,27 @@ def verify_trivialization(
     if c.degree < 1 or b.degree != c.degree - 1:
         raise CochainError("trivialization candidate must have degree p - 1")
     p = c.degree
-    K = c.base.complex
     exact = c.exact
     (cv, bv), scale = _scaled(c, b)
     lower_worst: Dict[int, Scalar] = {}
     lower_failing: List[FailedCondition] = []
     for k in range(0, p):
         top = zero(exact)
-        for s, facets, J in _slots(c.base, k, p - k + 1):
-            shifted = _shift_value({}, bv, exact, p, k, s, facets, J)  # D(b) alone
-            residual = _residual(cv.get((k, s, J), 0) - shifted, scale, exact)
-            if _worse(residual, top):
-                top = residual
-            if exceeds(residual, tol, exact):
-                lower_failing.append(FailedCondition(k, s, J, residual))
+        for s, Js, shifted in _shifted(c.base, {}, bv, exact, p, k):  # D(b) alone
+            for J, x in zip(Js, shifted):
+                residual = _residual(cv.get((k, s, J), 0) - x, scale, exact)
+                if _worse(residual, top):
+                    top = residual
+                if exceeds(residual, tol, exact):
+                    lower_failing.append(FailedCondition(k, s, J, residual))
         lower_worst[k] = top
 
     top_residuals: Dict[Simplex, Scalar] = {}
     spread = zero(exact)
     ok = not lower_failing
-    for s in K.simplices(p):
-        facets = facets_of(s)
+    for s, Js, _, d in _coboundaries(c.base, p, 1, None, bv, exact):
         values = [
-            _unscaled(cv.get((p, s, J), 0) - _d(bv, exact, p, facets, J), scale, exact)
-            for J in c.base.multi_indices(s, 1)
+            _unscaled(cv.get((p, s, J), 0) - y, scale, exact) for J, y in zip(Js, d)
         ]
         top_residuals[s] = values[0]
         for v in values:
@@ -596,13 +638,12 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
     if not c.cocycle:
         raise CochainError("chern_cocycle requires a cochain flagged as cocycle")
     p = c.degree
-    K = c.base.complex
     exact = c.exact
     values, scale = c._data, c.scale
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
-    for v in K.simplices(0):
-        for J in c.base.multi_indices(v, p + 2):
-            n, residual = _nearest_turn(_delta(values, exact, 0, v, J), scale, exact)
+    for v, Js, delta, _ in _coboundaries(c.base, 0, p + 2, values, None, exact):
+        for J, x in zip(Js, delta):
+            n, residual = _nearest_turn(x, scale, exact)
             if exceeds(residual, tol, exact):
                 raise CochainError(
                     f"integrality violation at {v} {J}: residual {residual} turns"
@@ -611,9 +652,9 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
                 entries[(v, J)] = n
     cocycle = IntegerCechCocycle(c.base, p + 2, entries)
     numbers = {(0, v, J): n for (v, J), n in entries.items()}
-    for v in K.simplices(0):
-        for J in c.base.multi_indices(v, p + 3):
-            if _delta(numbers, True, 0, v, J) != 0:
+    for v, Js, delta, _ in _coboundaries(c.base, 0, p + 3, numbers, None, True):
+        for J, x in zip(Js, delta):
+            if x != 0:
                 raise CochainError(f"rounded cocycle is not closed at {v} {J}")
     return cocycle
 

@@ -800,3 +800,107 @@ def test_nan_entry_fails_validation_and_blocks_holonomy(torus2_4chart, level):
     assert all(math.isnan(report.worst[k]) for k in nan_levels)
     with pytest.raises(HolonomyError):
         holonomy(c, default_index_map(cover))
+
+
+# -- the per-simplex kernel against the point evaluators --------------------------
+
+
+@pytest.fixture(scope="module")
+def kernel_covers():
+    """Dense and sparse covers: star covers (up to 11 charts a simplex), a
+    once-subdivided chart cover, and one tetrahedron in 12 charts, whose
+    degree-3 level-0 template has C(12, 5) = 792 rows."""
+    from deligne import subdivide_geometry
+
+    covers = {
+        f"{name} star": star_cover(get_geometry(name).covered.complex)
+        for name in ("annulus", "torus2-4chart", "solid-torus")
+    }
+    covers["torus2-4chart/1 charts"] = subdivide_geometry(get_geometry("torus2-4chart")).covered
+    tet = build_complex([(0, 1, 2, 3)])
+    covers["tetrahedron 12 charts"] = attach_cover(tet, 12, {(0, 1, 2, 3): range(12)})
+    return covers
+
+
+KERNEL_CASES = pytest.mark.parametrize(
+    "name",
+    ["annulus star", "torus2-4chart star", "solid-torus star",
+     "torus2-4chart/1 charts", "tetrahedron 12 charts"],
+)
+ARITHMETIC = pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+
+
+def same_value(got, want, exact):
+    """Exact equality of Fractions, or the same float repr."""
+    if exact:
+        return type(got) is Fraction and got == want
+    return type(got) is float and repr(got) == repr(want)
+
+
+@KERNEL_CASES
+@ARITHMETIC
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10**6), denominator=st.sampled_from([1, 3, 64]))
+def test_shift_kernel_matches_the_point_evaluators(kernel_covers, name, exact, seed, denominator):
+    cover = kernel_covers[name]
+    p = cover.complex.dim
+    b = random_cochain(cover, p - 1, seed, exact=exact, denominator=denominator)
+    c = random_cochain(cover, p, seed + 1, exact=exact)
+    shifted = exact_shift(c, b)
+    nonzero = 0
+    for k, s, J in slots(cover, p):
+        want = c.component(k, s, J)
+        if k < p:
+            want = want + cech_delta(b, s, J)
+        if k >= 1:
+            want = want + (-1) ** (p - k) * discrete_d(b, s, J)
+        assert same_value(shifted.component(k, s, J), want, exact), (k, s, J)
+        nonzero += want != 0
+    assert len(shifted) == nonzero
+
+
+def naive_validate(c, tol=1e-9):
+    """validate_cocycle's report from one cech_delta and discrete_d call per
+    condition, slot by slot."""
+    p, exact = c.degree, c.exact
+    turn = Fraction(1) if exact else TWO_PI
+    worst, checked, failing = {}, {}, []
+    for k in range(p + 1):
+        top, count = (Fraction(0) if exact else 0.0), 0
+        for s in c.base.complex.simplices(k):
+            for J in c.base.multi_indices(s, p - k + 2):
+                x = cech_delta(c, s, J)
+                if k == 0:
+                    n = round(x / turn)
+                    residual = abs(x - n * turn) / turn
+                else:
+                    n = None
+                    residual = abs(x - (-1) ** (p - k) * discrete_d(c, s, J))
+                count += 1
+                if not residual <= top:
+                    top = residual
+                if not residual <= (0 if exact else tol):
+                    failing.append(FailedCondition(k, s, J, residual, n))
+        worst[k], checked[k] = top, count
+    return CocycleReport(p, exact, tol, worst, checked, tuple(failing))
+
+
+@KERNEL_CASES
+@ARITHMETIC
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_validation_kernel_matches_the_point_evaluators(kernel_covers, name, exact, data):
+    cover = kernel_covers[name]
+    p = cover.complex.dim
+    seed = data.draw(st.integers(0, 10**6), label="seed")
+    b = random_cochain(cover, p - 1, seed, exact=exact)
+    orbit = exact_shift(zero_cochain(cover, p, exact=exact), b)
+    assert validate_cocycle(orbit) == naive_validate(orbit)
+
+    keys = slots(cover, p)
+    picks = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4), label="slots")
+    bumps = [Fraction(1, 7), Fraction(-5, 3), Fraction(1, 2)] if exact else [0.37, -2.5, math.pi]
+    corruption = [(k, J, s, bumps[i % 3] * (i + 1)) for i, (k, s, J) in enumerate(dict.fromkeys(picks))]
+    broken = tensor(orbit, build_cochain(cover, p, corruption, exact=exact))
+    report = validate_cocycle(broken)
+    assert report == naive_validate(broken)

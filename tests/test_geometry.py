@@ -287,7 +287,8 @@ def test_subdivided_hand_geometry_matches_reference():
 
 
 def test_subdivision_validates_the_children():
-    # hand_geometry skips validation, so only the child check can see this.
+    # hand_geometry skips validation; the offset is caught when subdivision
+    # validates the parent.
     g = hand_geometry(BASE, shifted(F(1, 12)))
     with pytest.raises(AnalyticError) as err:
         subdivide_geometry(g)

@@ -23,8 +23,21 @@ seed, so its numbers are taken as the benchmark takes them.
 
 Printed: each pair's ``setup_s``, ``peak_rss_mb`` and ``op_p50_ms`` for
 base and change, then one summary row per workload with, for each metric,
-the median on both sides, the base's interquartile range and the number of
-pairs in which the change is lower.  The checkout itself is not touched.
+the median on both sides, the base's interquartile range, the number of
+pairs in which the change is better and a verdict.  The verdict of an
+``end_to_end`` metric of ``BENCHMARK.json`` applies its ``bound``, read as
+a fraction of the base median, in this order:
+
+- ``gain``: the change is better in at least 9 of 10 pairs, and its median
+  beats the base median by more than the base IQR;
+- ``worse``: the change median is worse than the base median by more than
+  the bound;
+- ``unresolved``: the base IQR exceeds the bound times the base median,
+  unless every change run beats every base run;
+- ``no worse`` otherwise.
+
+``op_p50_ms`` is not gated and gets no verdict.  The checkout itself is
+not touched.
 """
 
 from __future__ import annotations
@@ -110,16 +123,35 @@ def run_pairs(workload: str, command: list, sides: dict, pairs: int, env: dict) 
     return rows
 
 
-def summary(workload: str, rows: list) -> str:
-    """One row: per metric the medians, the base IQR and the change's wins."""
+def verdict(b: list, c: list, wins: int, bound: float) -> str:
+    """gain, worse, unresolved or no worse for base runs b and change runs
+    c of one metric, both signed so that lower is better, where the change
+    is lower in ``wins`` pairs and ``bound`` is the metric's relative bound."""
+    mb, mc, spread = statistics.median(b), statistics.median(c), iqr(b)
+    if 10 * wins >= 9 * len(b) and mb - mc > spread:
+        return "gain"
+    if mc - mb > bound * abs(mb):
+        return "worse"
+    if spread > bound * abs(mb) and max(c) >= min(b):
+        return "unresolved"
+    return "no worse"
+
+
+def summary(workload: str, rows: list, gates: dict) -> str:
+    """One row: per metric the medians, the base IQR, the change's wins and
+    the verdict under the metric's end-to-end gate, if it has one."""
     cells = []
     for m in METRICS:
         b = [r["base"][m] for r in rows]
         c = [r["change"][m] for r in rows]
         mb, mc = statistics.median(b), statistics.median(c)
+        gate = gates.get(m)
+        sign = -1 if gate and gate["better"] == "higher" else 1
+        b, c = [sign * x for x in b], [sign * y for y in c]
         wins = sum(1 for x, y in zip(b, c) if y < x)
+        label = verdict(b, c, wins, gate["bound"]) if gate else "not gated"
         cells.append(f"{m} {mb:.4f} -> {mc:.4f} ({mc / mb - 1:+.1%}, base IQR "
-                     f"{iqr(b):.4f}, lower in {wins}/{len(rows)})")
+                     f"{iqr(b):.4f}, better in {wins}/{len(rows)}): {label}")
     return f"{workload}: " + "; ".join(cells)
 
 
@@ -153,8 +185,9 @@ def main(argv=None) -> int:
         for w in workloads:
             command = benchmark_command(spec, w)
             results[w] = run_pairs(w, command, sides, args.pairs, env)
+    gates = {g["name"]: g for g in spec["end_to_end"]}
     for w, rows in results.items():
-        print(summary(w, rows))
+        print(summary(w, rows, gates))
     return 0
 
 

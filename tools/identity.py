@@ -1,0 +1,188 @@
+"""Check that a base commit and this checkout compute the same results.
+
+Run from the root of a checkout:
+
+    python3 tools/identity.py               # base HEAD~1
+    python3 tools/identity.py --base HEAD
+
+The base is unpacked into a temporary directory with ``git archive`` and
+the working tree is copied beside it, as ``tools/ab.py`` does.  This
+script then runs once per side with ``--digests``, importing ``deligne``
+from that side's ``src/``, and prints one digest per (geometry, cover,
+arithmetic, operation):
+
+- geometries and covers: the chart cover of every shipped geometry, the
+  chart cover of ``torus2-4chart`` subdivided once, the star covers of
+  ``annulus``, ``torus2-4chart``, ``solid-torus`` and ``torus3-8chart``,
+  and one tetrahedron admissible in 12 charts;
+- arithmetics: rational and float;
+- operations: ``random_cochain``, ``exact_shift`` (of the zero class and
+  of a random cochain), ``validate_cocycle`` (on a gauge orbit and on a
+  random non-cocycle), ``verify_trivialization`` (of both by the same
+  shift data), ``chern_cocycle`` and ``holonomy`` (``local_action`` on a
+  complex with boundary) of the orbit plus a class with integer
+  transition turns.
+
+A digest is a hash of the ``repr`` of the result, so rational results must
+be equal and float results ``repr``-identical; an operation that raises
+is digested by its exception.  Exit status 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from ab import copy_worktree, unpack
+
+SEEDS = (7, 11)  # shift data b, raw cochain c
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def cases():
+    """(geometry, cover name, covered complex) for every case checked."""
+    # deligne comes from the side under test, so only --digests imports it.
+    from deligne import (
+        GEOMETRY_BUILDERS,
+        attach_cover,
+        build_complex,
+        star_cover,
+        subdivide_geometry,
+    )
+
+    for name, build in GEOMETRY_BUILDERS.items():
+        yield name, "charts", build().covered
+    torus2 = GEOMETRY_BUILDERS["torus2-4chart"]()
+    yield "torus2-4chart/1", "charts", subdivide_geometry(torus2).covered
+    for name in ("annulus", "torus2-4chart", "solid-torus", "torus3-8chart"):
+        yield name, "star", star_cover(GEOMETRY_BUILDERS[name]().covered.complex)
+    tet = build_complex([(0, 1, 2, 3)])
+    yield "tetrahedron", "12 charts", attach_cover(tet, 12, {(0, 1, 2, 3): range(12)})
+
+
+def integer_turns(cover, degree: int, exact: bool):
+    """A cocycle whose level 0 is f(J) turns at every vertex, f(J) =
+    sum(J) mod 3 - 1, and whose other levels vanish: its Čech class is
+    delta f, in general nonzero."""
+    from deligne import build_cochain
+
+    turn = 1 if exact else 2 * math.pi
+    entries = [
+        (0, J, v, (sum(J) % 3 - 1) * turn)
+        for v in cover.complex.simplices(0)
+        for J in cover.multi_indices(v, degree + 1)
+    ]
+    return build_cochain(cover, degree, entries, exact=exact)
+
+
+def outcome(op):
+    try:
+        return op()
+    except Exception as e:  # both sides must fail alike
+        return f"{type(e).__name__}: {e}"
+
+
+def digests():
+    """Yield (case label, digest) for every case, arithmetic and operation."""
+    from deligne import (
+        chern_cocycle,
+        default_index_map,
+        exact_shift,
+        holonomy,
+        local_action,
+        random_cochain,
+        tensor,
+        validate_cocycle,
+        verify_trivialization,
+        zero_cochain,
+    )
+
+    for name, cover_name, cover in cases():
+        p = cover.complex.dim
+        for exact in (True, False):
+            label = f"{name} {cover_name} {'rational' if exact else 'float'}"
+            b = random_cochain(cover, p - 1, SEEDS[0], exact=exact)
+            c = random_cochain(cover, p, SEEDS[1], exact=exact)
+            yield f"{label} random_cochain", digest((list(b.entries()), list(c.entries())))
+            orbit = exact_shift(zero_cochain(cover, p, exact=exact), b)
+            moved = exact_shift(c, b)
+            yield f"{label} exact_shift", digest((list(orbit.entries()), list(moved.entries())))
+            yield f"{label} validate_cocycle orbit", digest(validate_cocycle(orbit))
+            yield f"{label} validate_cocycle non-cocycle", digest(validate_cocycle(c))
+            yield f"{label} verify_trivialization", digest(
+                (verify_trivialization(orbit, b), verify_trivialization(c, b))
+            )
+            cls = tensor(orbit, integer_turns(cover, p, exact))
+            validate_cocycle(cls)
+            yield f"{label} chern_cocycle", digest(
+                outcome(lambda: sorted(chern_cocycle(cls).entries.items()))
+            )
+            flag_sum = holonomy if cover.complex.closed else local_action
+
+            def value():
+                v = flag_sum(cls, default_index_map(cover))
+                return v.raw, v.angle, v.levels, v.flag_count
+
+            yield f"{label} holonomy", digest(outcome(value))
+
+
+def side_digests(side: Path, env: dict) -> list:
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--digests"],
+        cwd=side, env=dict(env, PYTHONPATH=str(side / "src")),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    return [line.rsplit(" ", 1) for line in out.strip().splitlines()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", default="HEAD~1")
+    parser.add_argument("--digests", action="store_true",
+                        help="print this interpreter's digests and exit")
+    args = parser.parse_args(argv)
+    if args.digests:
+        for label, d in digests():
+            print(label, d, flush=True)
+        return 0
+    env = dict(os.environ)
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "work"}
+        for side in sides.values():
+            side.mkdir()
+        unpack(args.base, sides["base"])
+        copy_worktree(sides["change"])
+        rows = {}
+        for name, side in sides.items():
+            start = time.perf_counter()
+            rows[name] = side_digests(side, env)
+            print(f"{name}: {len(rows[name])} digests in "
+                  f"{time.perf_counter() - start:.1f} s", flush=True)
+    same = differ = 0
+    base = dict(rows["base"])
+    for label, d in rows["change"]:
+        if base.pop(label, None) == d:
+            same += 1
+            print(f"same  {label}  {d}")
+        else:
+            differ += 1
+            print(f"DIFFERS  {label}  {d}")
+    for label in base:
+        differ += 1
+        print(f"MISSING  {label}")
+    print(f"base {args.base} against the working tree: {same} same, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
