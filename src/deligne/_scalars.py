@@ -22,9 +22,9 @@ Scalar = Union[float, Fraction]
 TWO_PI = 2.0 * pi
 
 # The one spelling of a rational that the writer emits and the readers
-# accept: an integer or "n/d".  Fraction() also reads exponents, and
-# expanding one such as "1e10000000" alone takes seconds.
-RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+# accept: an integer or "n/d" with d > 0.  Fraction() also reads exponents,
+# and expanding one such as "1e10000000" alone takes seconds.
+RATIONAL = re.compile(r"[-+]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def full_turn(exact: bool) -> Scalar:

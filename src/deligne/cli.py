@@ -560,11 +560,8 @@ def main(argv=None) -> int:
             report["error"] = str(e)
             code = 2
         _emit(report, args)
-    except (
-        _UsageError, DeligneError, OSError, TypeError, ValueError, ZeroDivisionError
-    ) as e:
-        # TypeError covers float data handed to rational arithmetic, and
-        # ZeroDivisionError an "n/0" string read as a Fraction.
+    except (_UsageError, DeligneError, OSError, TypeError, ValueError) as e:
+        # TypeError covers float data handed to rational arithmetic.
         print(f"deligne: {e}", file=sys.stderr)
         return 1
     return code

@@ -49,9 +49,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd, isfinite, lcm
 from operator import add, itemgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ._scalars import TWO_PI, Scalar, coerce, exceeds, group_sums, integer_residual, tree_sum, zero
+from ._scalars import TWO_PI, Scalar, coerce, exceeds, group_sums, tree_sum, zero
 from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
@@ -162,9 +162,27 @@ def build_cochain(
     are absorbed into the stored value.  Exact zeros are dropped, so the
     empty entry list is the zero cochain.  Conflicting duplicates raise.
     """
+    if exact:
+        return _build(
+            base, degree, entries, exact, lambda raw: coerce(raw, True).as_integer_ratio()
+        )
+    return _build(base, degree, entries, exact, lambda raw: (coerce(raw, False), 1))
+
+
+def _build(
+    base: CoveredComplex,
+    degree: int,
+    entries: Iterable[Tuple[int, Sequence[int], Sequence[int], object]],
+    exact: bool,
+    pair: Optional[Callable[[object], Tuple[Scalar, int]]] = None,
+) -> DeligneCochain:
+    """The one per-entry check path of :func:`build_cochain` and the
+    cochain file reader.  An entry's value is a pair (n, d), or ``pair``
+    makes one of it: a reduced numerator and denominator in exact mode,
+    (float, 1) in float mode, so no Fraction is needed."""
     if degree < 0:
         raise CochainError("cochain degree must be nonnegative")
-    data: Dict[Key, Scalar] = {}
+    data: Dict[Key, object] = {}  # (n, d) pairs, then the stored values
     for k, indices, simplex, raw in entries:
         if not 0 <= k <= degree:
             raise CochainError(f"component level {k} outside 0..{degree}")
@@ -176,26 +194,24 @@ def build_cochain(
                 f"level-{k} multi-index must have length {degree - k + 1}, "
                 f"got {tuple(indices)}"
             )
-        value = coerce(raw, exact)
+        n, d = raw if pair is None else pair(raw)
         idx, pi = parity_sort(tuple(indices))
         if pi == 0:
-            if value != 0:
+            if n != 0:
                 raise CochainError(
                     f"repeated chart index {tuple(indices)} with nonzero value"
                 )
             continue
-        _admit(base, data, (k, s, idx), ps * pi * value)
-    for key in [key for key, v in data.items() if v == 0]:
+        _admit(base, data, (k, s, idx), (ps * pi * n, d))
+    for key in [key for key, (n, _) in data.items() if n == 0]:
         del data[key]
-    if not exact:
-        return DeligneCochain(base, degree, data, exact)
-    scale = lcm(*{v.denominator for v in data.values()})
-    for key, v in data.items():
-        data[key] = v.numerator * (scale // v.denominator)
+    scale = lcm(*{d for _, d in data.values()})
+    for key, (n, d) in data.items():
+        data[key] = n * (scale // d) if exact else n
     return DeligneCochain(base, degree, data, exact, scale=scale)
 
 
-def _admit(base: CoveredComplex, data: Dict[Key, Scalar], key: Key, value: Scalar) -> None:
+def _admit(base: CoveredComplex, data: Dict[Key, object], key: Key, value: object) -> None:
     """Store value at a canonical key whose charts are admissible for its
     simplex on base; a different value already there is a conflict."""
     _, s, idx = key
@@ -361,22 +377,35 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     return _unscaled(ps * pj * tree_sum(terms, c.exact), c.scale, c.exact)
 
 
-def _nearest_turn(x: Scalar, scale: int, exact: bool) -> Tuple[Optional[int], Scalar]:
-    """(n, |x / turn - n|) for a kernel level-0 value x: the residual in turns.
+def _nearest_turns(
+    delta: List[Scalar], scale: int, exact: bool
+) -> Optional[List[Tuple[Optional[int], Scalar]]]:
+    """(n, |x / turn - n|) for each kernel level-0 value x of one simplex:
+    the nearest whole turn and the residual in turns.  None in exact mode
+    when one pass of ``x % scale`` finds every x a whole number of turns.
 
     Exact mode reads x as turns over ``scale`` and rounds half to even, as
-    round() does on a Fraction; the residual is 0 or a Fraction.  A
-    non-finite float has no nearest n and keeps its size as the residual.
+    round() does on a Fraction; the residual is 0 or a Fraction.  Float
+    mode has the arithmetic of ``integer_residual``, then divides by 2pi;
+    a non-finite x has no nearest n and keeps its size as the residual.
     """
-    if not exact:
-        if not isfinite(x):
-            return None, abs(x) / TWO_PI
-        n, residual = integer_residual(x, False)
-        return n, residual / TWO_PI
-    n, r = divmod(x, scale)
-    if 2 * r > scale or (2 * r == scale and n % 2):
-        n += 1
-    return n, _residual(x - n * scale, scale, exact)
+    out = []
+    if exact:
+        if not any(map(scale.__rmod__, delta)):
+            return None
+        for x in delta:
+            n, r = divmod(x, scale)
+            if 2 * r > scale or (2 * r == scale and n % 2):
+                n += 1
+            out.append((n, _residual(x - n * scale, scale, exact)))
+        return out
+    for x in delta:
+        if isfinite(x):
+            n = round(x / TWO_PI)
+            out.append((n, abs(x - n * TWO_PI) / TWO_PI))
+        else:
+            out.append((None, abs(x) / TWO_PI))
+    return out
 
 
 def _worse(residual: Scalar, top: Scalar) -> bool:
@@ -428,8 +457,10 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     top = zero(exact)
     for v, Js, delta, _ in _coboundaries(c.base, 0, p + 2, values, None, exact):
         count += len(Js)
-        for J, x in zip(Js, delta):
-            n, residual = _nearest_turn(x, scale, exact)
+        turns = _nearest_turns(delta, scale, exact)
+        if turns is None:  # every condition holds exactly
+            continue
+        for J, (n, residual) in zip(Js, turns):
             if not residual:  # neither the worst nor a breach
                 continue
             if _worse(residual, top):
@@ -642,8 +673,11 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
     values, scale = c._data, c.scale
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
     for v, Js, delta, _ in _coboundaries(c.base, 0, p + 2, values, None, exact):
-        for J, x in zip(Js, delta):
-            n, residual = _nearest_turn(x, scale, exact)
+        turns = _nearest_turns(delta, scale, exact)
+        if turns is None:  # whole turns x / scale, no residual
+            entries.update(((v, J), x // scale) for J, x in zip(Js, delta) if x)
+            continue
+        for J, (n, residual) in zip(Js, turns):
             if exceeds(residual, tol, exact):
                 raise CochainError(
                     f"integrality violation at {v} {J}: residual {residual} turns"

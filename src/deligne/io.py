@@ -19,6 +19,16 @@ writer's spelling is read back, so no two keys can name one simplex.
 
 Rational values travel as ``"n/d"`` strings under ``"arithmetic":
 "rational"``; float files say ``"arithmetic": "float"``.
+
+Cochain files are the large artifacts, so they skip the document:
+:func:`dumps_cochain` streams the canonical text straight from the stored
+values, one short string per entry, and a test holds it to
+``dumps_canonical`` of its own parse byte for byte.  The reader checks the
+schema of every entry, then hands the builder's one check path each value
+as an integer pair (``"n/d"`` read with ``int``, a float over 1), each
+reference as one index into ``K.simplices(dim)`` and each multi-index as
+written; only a multi-index that does not ascend is sorted, so any valid
+file loads, and a canonical one without sorting.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from ._scalars import RATIONAL, Scalar
-from .cochain import DeligneCochain, build_cochain
+from .cochain import DeligneCochain, _build
 from .cover import CoveredComplex, IndexMap, attach_cover, make_index_map
 from .errors import DeligneError
 from .simplicial import Simplex, SimplicialComplex, build_complex
@@ -55,11 +65,19 @@ def scalar_to_json(x: Scalar):
     return float(x)
 
 
+def _ratio_from_json(v) -> Tuple[int, int]:
+    """A rational file value ``"n/d"`` as reduced ints (n, d), read with int."""
+    if not (isinstance(v, str) and RATIONAL.fullmatch(v)):
+        raise SchemaError("rational values must be 'n/d' strings")
+    n, _, d = v.partition("/")
+    n, d = int(n), int(d or 1)
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def scalar_from_json(v, exact: bool) -> Scalar:
     if exact:
-        if not (isinstance(v, str) and RATIONAL.fullmatch(v)):
-            raise SchemaError("rational values must be 'n/d' strings")
-        return Fraction(v)
+        return Fraction(*_ratio_from_json(v))
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError("float values must be JSON numbers")
     x = float(v)
@@ -95,8 +113,12 @@ def dumps_canonical(obj) -> str:
 
 
 def write_canonical(path: str, obj) -> None:
+    _write_text(path, dumps_canonical(obj))
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(text)
 
 
 def read_json(path: str):
@@ -163,6 +185,11 @@ def resolve_ref(K: SimplicialComplex, ref, spelling: str = "entry") -> Simplex:
     of a top for a ``"cover"`` key.  Keys must be canonical decimals (no sign,
     no leading zero, ASCII digits), so distinct keys name distinct simplices.
     """
+    if spelling == "entry" and type(ref) is list and len(ref) == 2:
+        dim, idx = ref  # the common case, read before any message is built
+        table = K.simplices(dim) if type(dim) is int else ()
+        if type(idx) is int and 0 <= idx < len(table):
+            return table[idx]
     label, form = _SPELLINGS[spelling]
     if spelling == "entry":
         ints = isinstance(ref, (list, tuple)) and all(
@@ -291,37 +318,45 @@ def load_index_map(path: str, C: CoveredComplex) -> IndexMap:
 # -- cochain files ---------------------------------------------------------------------
 
 
-def cochain_to_json(c: DeligneCochain) -> dict:
+def dumps_cochain(c: DeligneCochain) -> str:
+    """The canonical text of a cochain file, written entry by entry from
+    ``c.stored()``: what :func:`dumps_canonical` gives for the document
+    ``{"arithmetic", "degree", "entries"}``, without building it.  An exact
+    value is ``"n/d"`` from the stored numerator over the scale, reduced by
+    one gcd; a float is its shortest repr, with ``-0.0`` written as ``0.0``
+    and a non-finite value refused."""
     K = c.base.complex
     index_of = {
-        k: {s: i for i, s in enumerate(K.simplices(k))} for k in range(K.dim + 1)
+        s: i for k in range(K.dim + 1) for i, s in enumerate(K.simplices(k))
     }
     scale = c.scale
 
-    def value(n: int) -> str:
-        # scalar_to_json's "n/d" of the stored numerator over the scale,
-        # reduced by one gcd, without building a Fraction.
+    def ratio(n: int) -> str:
         g = math.gcd(n, scale)
-        return f"{n // g}/{scale // g}"
+        return f'"{n // g}/{scale // g}"'
 
-    written = value if c.exact else float
-    entries = [
-        {
-            "k": k,
-            "simplex": [k, index_of[k][s]],
-            "indices": list(J),
-            "value": written(v),
-        }
+    def real(x) -> str:
+        x = float(x)
+        if not math.isfinite(x):
+            raise SchemaError("non-finite value cannot be serialized")
+        return repr(x) if x else "0.0"
+
+    value = ratio if c.exact else real
+    rows = ",".join(
+        f'{{"indices":[{",".join(map(str, J))}],"k":{k},'
+        f'"simplex":[{k},{index_of[s]}],"value":{value(v)}}}'
         for k, s, J, v in c.stored()
-    ]
-    return {
-        "arithmetic": "rational" if c.exact else "float",
-        "degree": c.degree,
-        "entries": entries,
-    }
+    )
+    arithmetic = "rational" if c.exact else "float"
+    return f'{{"arithmetic":"{arithmetic}","degree":{c.degree},"entries":[{rows}]}}\n'
+
+
+_ENTRY_FIELDS = frozenset({"k", "simplex", "indices", "value"})
 
 
 def cochain_from_json(doc, C: CoveredComplex) -> DeligneCochain:
+    """Every entry passes the schema checks here before any passes the
+    builder's; values reach the builder as (n, d) pairs."""
     if not isinstance(doc, dict) or "degree" not in doc or "entries" not in doc:
         raise SchemaError("cochain file needs degree and entries")
     arithmetic = doc.get("arithmetic", "float")
@@ -334,7 +369,7 @@ def cochain_from_json(doc, C: CoveredComplex) -> DeligneCochain:
     K = C.complex
     entries = []
     for e in doc["entries"]:
-        if not isinstance(e, dict) or not {"k", "simplex", "indices", "value"} <= set(e):
+        if not isinstance(e, dict) or not _ENTRY_FIELDS <= e.keys():
             raise SchemaError(f"bad cochain entry {e!r}")
         k = _json_int(e["k"], "entry level k")
         s = resolve_ref(K, e["simplex"])
@@ -343,12 +378,14 @@ def cochain_from_json(doc, C: CoveredComplex) -> DeligneCochain:
                 f"entry level {k} does not match its simplex dimension {len(s) - 1}"
             )
         J = _json_ints(e["indices"], "entry indices")
-        entries.append((k, J, s, scalar_from_json(e["value"], exact)))
-    return build_cochain(C, _json_int(doc["degree"], "degree"), entries, exact=exact)
+        v = e["value"]
+        pair = _ratio_from_json(v) if exact else (scalar_from_json(v, False), 1)
+        entries.append((k, J, s, pair))
+    return _build(C, _json_int(doc["degree"], "degree"), entries, exact)
 
 
 def save_cochain(c: DeligneCochain, path: str) -> None:
-    write_canonical(path, cochain_to_json(c))
+    _write_text(path, dumps_cochain(c))
 
 
 def load_cochain(path: str, C: CoveredComplex) -> DeligneCochain:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import lt
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ComplexError
@@ -31,8 +32,11 @@ def parity_sort(items: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
 
     The sign is 0 when an entry repeats: an alternating function vanishes
     there.  This is the one inversion count behind every orientation and
-    multi-index parity in the package.
+    multi-index parity in the package.  An ascending tuple, the common
+    case, is returned as it is with sign +1.
     """
+    if all(map(lt, items, items[1:])):
+        return tuple(items), 1
     n = len(items)
     inversions = 0
     for i in range(n):

@@ -190,6 +190,32 @@ def test_rational_request_parameter_in_exponent_form_exits_1(
     assert err.startswith("deligne:") and "'n/d'" in err
 
 
+def test_cochain_value_with_zero_denominator_exits_1(capsys, tmp_path):
+    paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="zero")
+    doc = read_json(paths[2])
+    doc["entries"][0]["value"] = "1/0"
+    write_canonical(paths[2], doc)
+    code, out, err = run(capsys, "holonomy", *paths)
+    assert code == 1 and out == ""
+    assert err == "deligne: rational values must be 'n/d' strings\n"
+
+
+@pytest.mark.parametrize("arithmetic", ["rational", "float"])
+def test_request_parameter_with_zero_denominator_exits_1(capsys, tmp_path, arithmetic):
+    req = str(tmp_path / "req.json")
+    write_canonical(req, {"fixture": "flat_circle", "params": {"theta": "1/0"}})
+    code, out, err = run(capsys, "fixture", "--request", req, "--arithmetic", arithmetic)
+    assert code == 1 and out == ""
+    assert err == "deligne: rational values must be written as 'n/d' strings\n"
+
+
+@pytest.mark.parametrize("theta", ["1/0", "-3/00"])
+def test_params_value_with_zero_denominator_exits_1(capsys, theta):
+    code, out, err = run(capsys, "fixture", "flat_circle", "--params", f"theta={theta}")
+    assert code == 1 and out == ""
+    assert err == f"deligne: cannot parse parameter value {theta!r}\n"
+
+
 def test_fixture_parameter_too_large_for_a_float_exits_1(capsys):
     theta = "1" + "0" * 400 + "/1"
     code, out, err = run(capsys, "fixture", "flat_circle", "--params", f"theta={theta}")

@@ -1,16 +1,22 @@
 """Canonical JSON artifacts: determinism, round-trips, schema rejection."""
 
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deligne import (
+    DeligneCochain,
     SchemaError,
     build_complex,
     default_index_map,
+    discretize,
     dumps_canonical,
+    exact_shift,
+    get_geometry,
     load_cochain,
     load_complex,
     load_cover,
@@ -22,14 +28,18 @@ from deligne import (
     save_cover,
     save_index_map,
     star_cover,
+    torsion_class,
+    winding_function,
+    zero_cochain,
 )
+from deligne.errors import CochainError
 from deligne.io import (
     cochain_from_json,
-    cochain_to_json,
     complex_from_json,
     complex_to_json,
     cover_from_json,
     cover_to_json,
+    dumps_cochain,
     index_map_from_json,
     index_map_to_json,
     matching_from_json,
@@ -100,7 +110,7 @@ def test_scalar_from_json_rational_rejects_numbers():
         scalar_from_json(0.75, exact=True)
 
 
-@pytest.mark.parametrize("bad", ["1e5", "1e10000000", "0.75", "3/4 ", "-"])
+@pytest.mark.parametrize("bad", ["1e5", "1e10000000", "0.75", "3/4 ", "-", "1/0", "0/00"])
 def test_scalar_from_json_rational_refuses_other_spellings(bad):
     with pytest.raises(SchemaError):
         scalar_from_json(bad, exact=True)
@@ -210,7 +220,7 @@ DUPLICATE_KEY_CASES = {
         lambda path: load_index_map(path, COVER),
     ),
     "cochain-entry": (
-        lambda: dumps_canonical(cochain_to_json(random_cochain(COVER, 1, 2, exact=True))),
+        lambda: dumps_cochain(random_cochain(COVER, 1, 2, exact=True)),
         '"value":',
         '"value":"1/7",',
         lambda path: load_cochain(path, COVER),
@@ -456,38 +466,59 @@ def test_cochain_round_trip_exact_values(tmp_path, exact):
 
 
 def test_cochain_json_declares_arithmetic():
-    assert cochain_to_json(random_cochain(COVER, 1, seed=1))["arithmetic"] == "float"
-    doc = cochain_to_json(random_cochain(COVER, 1, seed=1, exact=True))
+    assert json.loads(dumps_cochain(random_cochain(COVER, 1, seed=1)))["arithmetic"] == "float"
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=1, exact=True)))
     assert doc["arithmetic"] == "rational"
     assert all(isinstance(e["value"], str) for e in doc["entries"])
 
 
 def test_cochain_arithmetic_defaults_to_float():
-    doc = cochain_to_json(random_cochain(COVER, 1, seed=2))
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=2)))
     del doc["arithmetic"]
     c = cochain_from_json(doc, COVER)
     assert not c.exact
 
 
 def test_cochain_from_json_rejects_unknown_arithmetic():
-    doc = cochain_to_json(random_cochain(COVER, 1, seed=2))
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=2)))
     doc["arithmetic"] = "decimal"
     with pytest.raises(SchemaError):
         cochain_from_json(doc, COVER)
 
 
 def test_cochain_from_json_rejects_missing_entry_fields():
-    doc = cochain_to_json(random_cochain(COVER, 1, seed=2))
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=2)))
     del doc["entries"][0]["value"]
     with pytest.raises(SchemaError):
         cochain_from_json(doc, COVER)
 
 
 def test_cochain_from_json_rejects_level_simplex_mismatch():
-    doc = cochain_to_json(random_cochain(COVER, 1, seed=2))
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=2)))
     entry = next(e for e in doc["entries"] if e["k"] == 0)
     entry["simplex"] = [1, 0]
     with pytest.raises(SchemaError):
+        cochain_from_json(doc, COVER)
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ([0, 4], "out of range"),  # TWO_TRIS has 4 vertices
+        ([0, -1], "out of range"),
+        ([3, 0], "out of range"),
+        ([-1, 0], "out of range"),
+        ([0, 1.0], "is not \\[dim, index\\]"),
+        ([True, 0], "is not \\[dim, index\\]"),
+        ([0, 1, 2], "is not \\[dim, index\\]"),
+        ("01", "is not \\[dim, index\\]"),
+        ({"0": 0, "1": 1}, "is not \\[dim, index\\]"),
+    ],
+)
+def test_cochain_from_json_rejects_bad_references(ref, message):
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=2)))
+    doc["entries"][-1]["simplex"] = ref
+    with pytest.raises(SchemaError, match=f"^simplex reference .* {message}$"):
         cochain_from_json(doc, COVER)
 
 
@@ -525,7 +556,7 @@ def _entry_mutation(field, value):
     ids=["degree-true", "degree-float", "k-true", "k-float", "indices-float", "indices-true"],
 )
 def test_cochain_from_json_rejects_non_integer_fields(mutate):
-    doc = cochain_to_json(random_cochain(COVER, 1, seed=2))
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 1, seed=2)))
     mutate(doc)
     with pytest.raises(SchemaError, match="must be an"):
         cochain_from_json(doc, COVER)
@@ -536,14 +567,14 @@ def test_cochain_values_are_written_as_scalar_to_json(exact):
     """Each written value is scalar_to_json of the entry; exact values are
     reduced, although most numerators share a factor with the scale."""
     c = random_cochain(COVER, 2, seed=3, exact=exact)
-    written = [e["value"] for e in cochain_to_json(c)["entries"]]
+    written = [e["value"] for e in json.loads(dumps_cochain(c))["entries"]]
     assert written == [scalar_to_json(v) for *_, v in c.entries()]
     if exact:
         assert any(not v.endswith(f"/{c.scale}") for v in written)
 
 
 def test_cochain_entries_sorted_canonically():
-    doc = cochain_to_json(random_cochain(COVER, 2, seed=9))
+    doc = json.loads(dumps_cochain(random_cochain(COVER, 2, seed=9)))
     keys = [(e["k"], e["simplex"][1], e["indices"]) for e in doc["entries"]]
     assert keys == sorted(keys)
 
@@ -567,6 +598,144 @@ def test_float_cochain_survives_byte_round_trip(tmp_path):
     ):
         assert (k, s, J) == (k2, s2, J2)
         assert v == v2 and isinstance(v2, float)
+
+
+# -- the streamed cochain writer ---------------------------------------------------
+
+WRITER_GEOMETRIES = ("annulus", "torus2-4chart", "solid-torus")
+
+
+@st.composite
+def saved_cochains(draw):
+    """(cover, cochain): random, gauge-shifted or discretized, exact or
+    float, on the chart or the star cover of a writer geometry."""
+    geom = get_geometry(draw(st.sampled_from(WRITER_GEOMETRIES)))
+    exact = draw(st.booleans())
+    kind = draw(st.sampled_from(["random", "shifted", "discretized"]))
+    seed = draw(st.integers(0, 10**6))
+    if kind == "discretized":
+        coord = geom.periodic.index(True)
+        if draw(st.booleans()):
+            offset = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 12)))
+            pres = winding_function(geom, draw(st.integers(-3, 3)), coord, offset, exact)
+        else:
+            pres = torsion_class(geom, draw(st.integers(1, 9)), draw(st.integers(-9, 9)))
+        return geom.covered, discretize(pres, exact=exact)
+    cover = draw(st.sampled_from([geom.covered, star_cover(geom.covered.complex)]))
+    p = draw(st.integers(1, cover.complex.dim))
+    denominator = draw(st.sampled_from([1, 7, 64, 360]))
+    c = random_cochain(cover, p, seed, exact=exact, denominator=denominator)
+    if kind == "shifted":
+        c = exact_shift(c, random_cochain(cover, p - 1, seed + 1, exact=exact))
+    return cover, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(saved_cochains())
+def test_saved_cochain_is_a_fixed_point_of_the_encoder(tmp_path_factory, drawn):
+    cover, c = drawn
+    path = tmp_path_factory.mktemp("fixed") / "c.json"
+    save_cochain(c, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert dumps_canonical(read_json(str(path))) == text
+    assert text == dumps_cochain(c)
+    c2 = load_cochain(str(path), cover)
+    assert (list(c2.entries()), c2.scale) == (list(c.entries()), c.scale)
+
+
+@pytest.mark.parametrize(
+    "exact, sha256",
+    [
+        (True, "5e0ac6081607fc0511306eee7dbb24598da94abf7810db5326e63abc4b6c8290"),
+        (False, "b845cc8d4d7661d0d85f93519b587ac62157347a1472b0b597baed32231b30f8"),
+    ],
+)
+def test_saved_torus2_star_orbit_is_pinned(tmp_path, exact, sha256):
+    """Digests taken when cochain files were still written through
+    dumps_canonical, so the writer and the encoder cannot drift together."""
+    cover = star_cover(get_geometry("torus2-4chart").covered.complex)
+    b = random_cochain(cover, 1, 7, exact=exact)
+    orbit = exact_shift(zero_cochain(cover, 2, exact=exact), b)
+    path = tmp_path / "orbit.json"
+    save_cochain(orbit, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_writer_keeps_the_encoders_float_rules(tmp_path):
+    """-0.0 is written as 0.0, and a non-finite value is refused before the
+    file is opened."""
+    key = (1, (0, 1), (0,))
+    c = DeligneCochain(COVER, 1, {key: -0.0}, exact=False)
+    assert dumps_cochain(c) == dumps_canonical(json.loads(dumps_cochain(c)))
+    assert '"value":0.0}' in dumps_cochain(c)
+    path = tmp_path / "nan.json"
+    with pytest.raises(SchemaError, match="^non-finite value cannot be serialized$"):
+        save_cochain(DeligneCochain(COVER, 1, {key: float("nan")}, exact=False), str(path))
+    assert not path.exists()
+
+
+def _negated(value):
+    if isinstance(value, str):
+        return value[1:] if value.startswith("-") else "-" + value
+    return -value
+
+
+def _unreduced(value):
+    if isinstance(value, str):
+        n, d = value.split("/")
+        return f"{3 * int(n)}/{3 * int(d)}"
+    return value
+
+
+def _rewritten(doc, rng):
+    """doc with each entry's multi-index permuted (the value negated for
+    an odd permutation), rational values unreduced, entries shuffled and
+    their keys in a random order."""
+    entries = []
+    for e in doc["entries"]:
+        order = list(range(len(e["indices"])))
+        rng.shuffle(order)
+        inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+        value = _unreduced(e["value"])
+        e = dict(e, indices=[e["indices"][i] for i in order])
+        e["value"] = _negated(value) if inversions % 2 else value
+        keys = list(e)
+        rng.shuffle(keys)
+        entries.append({key: e[key] for key in keys})
+    rng.shuffle(entries)
+    return {"entries": entries, "degree": doc["degree"], "arithmetic": doc["arithmetic"]}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_non_canonical_cochain_file_loads_alike(tmp_path, exact, seed):
+    cover = star_cover(get_geometry("torus2-4chart").covered.complex)
+    b = random_cochain(cover, 1, 9, exact=exact)
+    c = exact_shift(random_cochain(cover, 2, seed, exact=exact), b)
+    canonical = tmp_path / "canonical.json"
+    save_cochain(c, str(canonical))
+    doc = _rewritten(read_json(str(canonical)), random.Random(seed))
+    assert any(J != sorted(J) for J in (e["indices"] for e in doc["entries"]))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc, indent=2, separators=(" , ", " : ")), encoding="utf-8")
+    expected = load_cochain(str(canonical), cover)
+    loaded = load_cochain(str(other), cover)
+    assert (list(loaded.entries()), loaded.scale) == (list(expected.entries()), expected.scale)
+
+    # Agreeing duplicates, spelled as the writer spells them.
+    doc["entries"] += read_json(str(canonical))["entries"][:5]
+    other.write_text(json.dumps(doc), encoding="utf-8")
+    loaded = load_cochain(str(other), cover)
+    assert (list(loaded.entries()), loaded.scale) == (list(expected.entries()), expected.scale)
+
+    first = doc["entries"][0]
+    doc["entries"].append(dict(first, value=_negated(first["value"])))
+    other.write_text(json.dumps(doc), encoding="utf-8")
+    dim, i = first["simplex"]
+    key = (first["k"], cover.complex.simplices(dim)[i], tuple(sorted(first["indices"])))
+    with pytest.raises(CochainError) as err:
+        load_cochain(str(other), cover)
+    assert str(err.value) == f"conflicting duplicate entry at {key}"
 
 
 # -- vertex matchings ---------------------------------------------------------------

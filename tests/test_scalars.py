@@ -64,13 +64,15 @@ def test_coerce_exact_reads_the_writers_spelling(spelled):
     assert coerce(spelled, True) == Fraction(spelled)
 
 
-@pytest.mark.parametrize("bad", ["1e5", "1e10000000", "0.5", " 3/4", "1/2/3", "1_0/3", ""])
+@pytest.mark.parametrize(
+    "bad", ["1e5", "1e10000000", "0.5", " 3/4", "1/2/3", "1_0/3", "", "1/0", "-3/00"]
+)
 def test_coerce_exact_refuses_other_spellings(bad):
     with pytest.raises(ValueError):
         coerce(bad, True)
 
 
-@pytest.mark.parametrize("bad", [" 3/4", "1/2/3", "1_0/3", "1e5/3", "0.5/2"])
+@pytest.mark.parametrize("bad", [" 3/4", "1/2/3", "1_0/3", "1e5/3", "0.5/2", "1/0"])
 def test_coerce_float_mode_reads_fractions_in_the_same_spelling(bad):
     assert coerce("-3/4", False) == -0.75
     with pytest.raises(ValueError):

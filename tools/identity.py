@@ -21,7 +21,12 @@ arithmetic, operation):
   random non-cocycle), ``verify_trivialization`` (of both by the same
   shift data), ``chern_cocycle`` and ``holonomy`` (``local_action`` on a
   complex with boundary) of the orbit plus a class with integer
-  transition turns.
+  transition turns;
+- io: the bytes ``save_cochain`` writes for the shift data, the random
+  cochain, the orbit and the integer-turn class, ``entries()`` and
+  ``scale`` after ``load_cochain`` of each, and the outcome of loading
+  the random cochain's file, cut to its first entries, with one entry
+  corrupted in each of the ways ``CORRUPTIONS`` lists.
 
 A digest is a hash of the ``repr`` of the result, so rational results must
 be equal and float results ``repr``-identical; an operation that raises
@@ -31,7 +36,9 @@ is digested by its exception.  Exit status 1 on any difference.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -92,15 +99,64 @@ def outcome(op):
         return f"{type(e).__name__}: {e}"
 
 
-def digests():
-    """Yield (case label, digest) for every case, arithmetic and operation."""
+def _first(field, new):
+    def corrupt(entries, cover):
+        entries[0][field] = new(entries[0][field], cover)
+
+    return corrupt
+
+
+def _conflicting_duplicate(entries, cover):
+    value = "12345/7" if isinstance(entries[0]["value"], str) else 12345.5
+    entries.append(dict(entries[0], value=value))
+
+
+# Each corrupts the first entry of a cochain file's entry list (a level-0
+# entry, so its multi-index has at least two charts) in one way a loader
+# must handle; reversed indices must load.
+CORRUPTIONS = {
+    "bool k": _first("k", lambda k, C: True),
+    "float index": _first("indices", lambda J, C: [float(J[0])] + J[1:]),
+    "1e5 value": _first("value", lambda v, C: "1e5"),
+    "out-of-range ref": _first(
+        "simplex", lambda ref, C: [ref[0], len(C.complex.simplices(ref[0]))]
+    ),
+    "reversed indices": _first("indices", lambda J, C: J[::-1]),
+    "conflicting duplicate": _conflicting_duplicate,
+    "repeated chart": _first("indices", lambda J, C: [J[0]] * len(J)),
+    "inadmissible chart": _first("indices", lambda J, C: J[:-1] + [C.num_sets]),
+}
+
+
+def corrupted_loads(path: str, cover, keep: int = 64) -> dict:
+    """The outcome of loading the cochain file at ``path``, cut to its
+    first ``keep`` entries, once per corruption; the file is rewritten."""
+    from deligne import load_cochain, read_json
+
+    doc = read_json(path)
+    doc["entries"] = doc["entries"][:keep]
+    out = {}
+    for name, corrupt in CORRUPTIONS.items():
+        bad = copy.deepcopy(doc)
+        corrupt(bad["entries"], cover)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(bad, fh)
+        out[name] = outcome(lambda: list(load_cochain(path, cover).entries()))
+    return out
+
+
+def digests(workdir: str):
+    """Yield (case label, digest) for every case, arithmetic and operation;
+    cochain files are written in ``workdir``."""
     from deligne import (
         chern_cocycle,
         default_index_map,
         exact_shift,
         holonomy,
+        load_cochain,
         local_action,
         random_cochain,
+        save_cochain,
         tensor,
         validate_cocycle,
         verify_trivialization,
@@ -135,6 +191,16 @@ def digests():
 
             yield f"{label} holonomy", digest(outcome(value))
 
+            path = os.path.join(workdir, "cochain.json")
+            for which, x in (("b", b), ("c", c), ("orbit", orbit), ("class", cls)):
+                save_cochain(x, path)
+                with open(path, "rb") as fh:
+                    yield f"{label} save_cochain {which}", digest(fh.read())
+                y = load_cochain(path, cover)
+                yield f"{label} load_cochain {which}", digest((list(y.entries()), y.scale))
+            save_cochain(c, path)
+            yield f"{label} load_cochain corrupted", digest(corrupted_loads(path, cover))
+
 
 def side_digests(side: Path, env: dict) -> list:
     out = subprocess.run(
@@ -152,8 +218,9 @@ def main(argv=None) -> int:
                         help="print this interpreter's digests and exit")
     args = parser.parse_args(argv)
     if args.digests:
-        for label, d in digests():
-            print(label, d, flush=True)
+        with tempfile.TemporaryDirectory(prefix="identity-io-") as workdir:
+            for label, d in digests(workdir):
+                print(label, d, flush=True)
         return 0
     env = dict(os.environ)
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
