@@ -191,7 +191,7 @@ def evaluate_scalar(
 
 def _rows_chart(geom: ChartedGeometry, sigma: Simplex) -> int:
     for a in sorted(geom.covered.admissible_of(sigma)):
-        if (a, sigma) in geom.lifts:
+        if geom.has_lift(a, sigma):
             return a
     raise AnalyticError(f"no chart realizes {sigma} in {geom.name}")
 
@@ -467,7 +467,7 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
                 a0, b0 = adm[i0], adm[j0]
                 if (a0, b0) in seam_turns:
                     continue
-                if (a0, s0) in geom.lifts and (b0, s0) in geom.lifts:
+                if geom.has_lift(a0, s0) and geom.has_lift(b0, s0):
                     seam_turns[(a0, b0)] = geom.offset(s0, a0, b0)[0]
 
     def seam_constant(a: int, b: int) -> Fraction:

@@ -9,9 +9,13 @@ differ by a constant offset on it, integral in the periodic coordinates;
 this is validated at construction and is what makes chart-jump integers
 (winding data) well defined per simplex.
 
-Lifts are keyed per (chart, simplex) rather than per (chart, vertex)
-because charts around a pole have no single branch value at the pole:
-each polar edge carries its own meridian-constant lift.
+Lifts are keyed per (chart, simplex) because charts around a pole have
+no single branch value at the pole: each polar edge carries its own
+meridian-constant lift.  A built geometry stores that table as a dict.  A
+subdivided one stores a row per (chart, fine vertex) and a row tuple only
+for the (chart, simplex) pairs whose lift is not their vertices' rows, the
+pairs near the sphere's poles; its ``lifts`` is a read-only view over both,
+with the keys and rows of the full table.
 
 One window rule: a chart's branch of a periodic coordinate is the turn
 value lifted into the chart's window ``[lo, lo + width]`` (``_branch``),
@@ -33,10 +37,11 @@ it needs the parent's scaled table anyway.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -63,6 +68,9 @@ class ChartedGeometry:
     covered: CoveredComplex
     lifts: Mapping[Tuple[int, Simplex], Tuple[Row, ...]]
     parent: Optional["ChartedGeometry"] = field(default=None, repr=False)
+
+    def has_lift(self, chart: int, sigma: Simplex) -> bool:
+        return (chart, sigma) in self.lifts
 
     def lift(self, chart: int, sigma: Simplex) -> Tuple[Row, ...]:
         rows = self.lifts.get((chart, sigma))
@@ -91,6 +99,43 @@ class ChartedGeometry:
                 f"charts {a},{b} differ by a non-integer turn on {sigma}"
             )
         return int(d)
+
+
+class _SubdividedLifts(abc.Mapping):
+    """The lifts of a subdivided geometry, read-only.
+
+    ``vertex[(a, b)]`` is fine vertex b's row in chart a, and ``rows``
+    holds the (chart, simplex) lifts that are not their vertices' rows.  A
+    pair (a, s) is realized when a is admissible for s and the parent
+    lifts s's carrier in chart a, that is when the carrier's barycentre
+    ``s[-1]`` has a row in chart a.  Keys iterate in ``all_simplices``
+    order, each simplex's admissible charts ascending.
+    """
+
+    def __init__(self, covered: CoveredComplex, vertex: Dict, rows: Dict):
+        self._covered = covered
+        self._vertex = vertex
+        self._rows = rows
+
+    def __contains__(self, key: object) -> bool:
+        a, s = key
+        return a in self._covered.admissible.get(s, ()) and (a, s[-1]) in self._vertex
+
+    def __getitem__(self, key: Tuple[int, Simplex]) -> Tuple[Row, ...]:
+        if key not in self:
+            raise KeyError(key)
+        a, s = key
+        return self._rows.get(key) or tuple([self._vertex[a, b] for b in s])
+
+    def __iter__(self):
+        adm, vertex = self._covered.admissible, self._vertex
+        for _, s in self._covered.complex.all_simplices():
+            for a in adm[s]:
+                if (a, s[-1]) in vertex:
+                    yield a, s
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def _validate_geometry(g: ChartedGeometry) -> Tuple[int, Scaled]:
@@ -413,19 +458,21 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     A child simplex inherits the admissible charts of its carrier: the tops
     containing it are the children of the parent tops containing its
     carrier, so this is the union rule of ``attach_cover``, whose covers
-    obey it.  Its lifts average the parent rows of its carrier, staying
-    inside a single branch.  Parent simplices without a branch (pole
-    vertices) propagate their missing entries, which is harmless exactly
-    where it happens.
+    obey it.  Its row at fine vertex b, the barycentre of the parent
+    simplex τ_b, averages its carrier's rows over τ_b, staying inside a
+    single branch.  Parent simplices without a branch (pole vertices)
+    propagate their missing entries, which is harmless exactly where it
+    happens.
 
-    A fine vertex's row depends only on the chart and the carrier whose
-    rows it averages, so it is computed once per (chart, carrier) and the
-    same row tuple is shared by every child simplex with that carrier
-    (Munkres, *Elements of Algebraic Topology*, section 15).  The parent is
-    validated, which scales its table once to integers over its common
-    denominator L; an average over m parent rows is then an integer sum
-    over the one child scale ``L2 = L * lcm(1..dim+1)``, and each distinct
-    numerator becomes one ``Fraction(n, L2)``.
+    The child stores fine vertex b's row in chart a, the average of the
+    parent's own lift of τ_b, once per parent lift entry (Munkres,
+    *Elements of Algebraic Topology*, section 15), and a row tuple only for
+    the child simplices whose carrier's average over some τ_b is not that
+    row: the ones around the sphere's poles.  The parent is validated,
+    which scales its table once to integers over its common denominator L;
+    an average over m parent rows is then an integer sum over the one
+    child scale ``L2 = L * lcm(1..dim+1)``, so averages compare as
+    integers, and each distinct numerator becomes one ``Fraction(n, L2)``.
 
     The child is valid because its parent is, so it is not checked again:
 
@@ -444,22 +491,30 @@ def subdivide_geometry(g: ChartedGeometry) -> ChartedGeometry:
     cov2 = CoveredComplex(K2, g.covered.num_sets, adm)
     L2 = L * lcm(*range(1, K2.dim + 2))
     value = cache(lambda n: Fraction(n, L2))
+    label = {tau: b for b, (_, tau) in enumerate(g.covered.complex.all_simplices())}
 
-    @cache
-    def fine(a: int, carrier: Simplex, b: int) -> Row:
-        """Fine vertex b's row in chart a."""
-        parent_rows = ints[(a, carrier)]
-        tau = carriers[(b,)]
-        w = L2 // (L * len(tau))
-        return tuple(
-            value(w * sum(col))
-            for col in zip(*(parent_rows[carrier.index(v)] for v in tau))
-        )
+    def average(rows: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+        """Numerators over L2 of the mean of rows over L."""
+        w = L2 // (L * len(rows))
+        return tuple(w * sum(col) for col in zip(*rows))
 
-    lifts = {
-        (a, s): tuple([fine(a, carrier, b) for b in s])
-        for s, carrier in carriers.items()
-        for a in adm[s]
-        if (a, carrier) in ints
-    }
+    vertex_ints = {(a, label[tau]): average(rows) for (a, tau), rows in ints.items()}
+    vertex = {key: tuple(map(value, r)) for key, r in vertex_ints.items()}
+    # carrier -> chart -> {fine vertex b: the carrier-averaged row, where it
+    # is not b's vertex row}
+    differs: Dict[Simplex, Dict[int, Dict[int, Row]]] = {}
+    for (a, c), crows in ints.items():
+        at = dict(zip(c, crows))
+        for k in range(1, len(c)):
+            for tau in combinations(c, k):
+                b = label[tau]
+                mean = average([at[v] for v in tau])
+                if vertex_ints.get((a, b)) != mean:
+                    differs.setdefault(c, {}).setdefault(a, {})[b] = tuple(map(value, mean))
+    rows = {}
+    for s, c in carriers.items():
+        for a, own in differs.get(c, {}).items():
+            if a in adm[s] and not own.keys().isdisjoint(s):
+                rows[(a, s)] = tuple([own.get(b) or vertex[a, b] for b in s])
+    lifts = _SubdividedLifts(cov2, vertex, rows)
     return ChartedGeometry(g.name, g.coords, g.periodic, cov2, lifts, parent=g)

@@ -193,7 +193,8 @@ class SimplicialComplex:
         incidence numbers of its steps.  Order is lexicographic in the
         chain, which fixes summation order everywhere downstream.  Level
         q extends each chain of the cached level q + 1 by the facets of
-        its last simplex, in facet order.
+        its last simplex, in facet order; the facets are this complex's
+        own simplex objects, so every flag shares them.
         """
         if q < 0 or q > self.dim:
             raise ComplexError(f"flag depth {q} out of range for dim {self.dim}")
@@ -201,13 +202,16 @@ class SimplicialComplex:
             if q == self.dim:
                 out = [Flag((t,), self._orient[t]) for t in self.tops]
             else:
+                canon = {s: s for s in self._by_dim[q]}
                 facets: Dict[Simplex, Tuple[Tuple[Simplex, int], ...]] = {}
                 out = []
                 for chain, sign in self.flags(q + 1):
                     last = chain[-1]
                     steps = facets.get(last)
                     if steps is None:
-                        steps = facets[last] = facets_of(last)
+                        steps = facets[last] = tuple(
+                            [(canon[tau], inc) for tau, inc in facets_of(last)]
+                        )
                     for tau, inc in steps:
                         out.append(Flag(chain + (tau,), sign * inc))
             self._flag_cache[q] = tuple(out)

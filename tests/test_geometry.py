@@ -286,6 +286,58 @@ def test_subdivided_hand_geometry_matches_reference():
         g = g2
 
 
+def test_subdivided_edge_lift_off_its_vertex_rows_matches_reference():
+    """Edge (0, 1) in chart 1 sits one turn below the triangle's rows, so
+    its children and the triangle's children through its barycentre store
+    their own rows."""
+    g = hand_geometry(BASE, shifted(2))
+    g.lifts[(1, (0, 1))] = (shifted(1)[0], shifted(1)[1])
+    _validate_geometry(g)
+    for _ in range(2):
+        g2 = subdivide_geometry(g)
+        assert g2.lifts._rows
+        ref = reference_subdivided_lifts(g, g2)
+        assert list(g2.lifts) == list(ref)
+        assert all(g2.lifts[key] == rows for key, rows in ref.items())
+        g = g2
+
+
+@pytest.mark.parametrize("name", ["annulus", "sphere-octahedron-2chart", "torus2-4chart"])
+def test_subdivided_lifts_obey_the_mapping_laws(name):
+    g = subdivide_geometry(subdivide_geometry(get_geometry(name)))
+    lifts, C = g.lifts, g.covered
+    keys = list(lifts)
+    assert len(lifts) == len(keys)
+    position = {s: i for i, (_, s) in enumerate(C.complex.all_simplices())}
+    order = [(position[s], a) for a, s in keys]
+    assert order == sorted(order) and len(set(order)) == len(order)
+    probes = [(a, s) for _, s in C.complex.all_simplices() for a in range(-1, C.num_sets + 1)]
+    probes += [(0, (10**6,)), (0, ()), (0, (0, 0))]
+    for key in probes:
+        assert (key in lifts) == (lifts.get(key) is not None)
+    assert sum(key in lifts for key in probes) == len(keys)
+    with pytest.raises(TypeError):
+        lifts[keys[0]] = lifts[keys[0]]
+
+
+@pytest.mark.parametrize(
+    "name, sizes",
+    [
+        ("torus2-4chart", [(132, 0), (644, 0)]),
+        ("sphere-octahedron-2chart", [(48, 72), (192, 232)]),
+    ],
+)
+def test_subdivided_lifts_store_vertex_rows(name, sizes):
+    """One row per (chart, fine vertex), one per parent lift entry, and a
+    row tuple per (chart, simplex) only where the vertex rows do not give
+    the lift."""
+    g = get_geometry(name)
+    for vertex_rows, own_rows in sizes:
+        parent, g = g, subdivide_geometry(g)
+        assert len(g.lifts._vertex) == vertex_rows == len(parent.lifts)
+        assert len(g.lifts._rows) == own_rows
+
+
 def test_subdivision_validates_the_children():
     # hand_geometry skips validation; the offset is caught when subdivision
     # validates the parent.

@@ -193,6 +193,19 @@ def test_flags_match_recursive_enumeration(seed):
         assert [tuple(f) for f in flags] == recursive_flags(K, q)
 
 
+@pytest.mark.parametrize("subdivided", [False, True])
+def test_flag_chains_are_the_complexs_own_simplices(subdivided):
+    K = build_complex([(0, 1, 2, 3), (1, 2, 3, 4)])
+    if subdivided:
+        K, _ = barycentric_subdivide(K)
+    for q in range(K.dim + 1):
+        for f in K.flags(q):
+            for s in f.chain:
+                k = len(s) - 1
+                canon = K.simplices(k)
+                assert s is canon[canon.index(s)]
+
+
 def test_flags_respect_top_orientation():
     plain = build_complex([(0, 1)])
     flipped = build_complex([(1, 0)])

@@ -11,6 +11,13 @@ script then runs once per side with ``--digests``, importing ``deligne``
 from that side's ``src/``, and prints one digest per (geometry, cover,
 arithmetic, operation):
 
+- lifts: for every shipped geometry and its first two subdivisions (one
+  for ``torus3-8chart``), the ``lifts`` keys in order, the rows with the
+  types of their values, and ``discretize`` in both arithmetics of a
+  torsion class of the highest degree the geometry allows, presented on
+  the coarse geometry, and on the sphere of the charge-1 monopole too (the
+  torsion class raises at the sphere's poles, and is digested by its
+  exception);
 - geometries and covers: the chart cover of every shipped geometry, the
   chart cover of ``torus2-4chart`` subdivided once, the star covers of
   ``annulus``, ``torus2-4chart``, ``solid-torus`` and ``torus3-8chart``,
@@ -75,6 +82,39 @@ def cases():
         yield name, "star", star_cover(GEOMETRY_BUILDERS[name]().covered.complex)
     tet = build_complex([(0, 1, 2, 3)])
     yield "tetrahedron", "12 charts", attach_cover(tet, 12, {(0, 1, 2, 3): range(12)})
+
+
+def geometry_digests():
+    """Yield (label, digest) for the lifts of every shipped geometry and its
+    subdivisions, and for discretized classes on each."""
+    from deligne import (
+        GEOMETRY_BUILDERS,
+        discretize,
+        monopole,
+        subdivide_geometry,
+        torsion_class,
+    )
+
+    for name, build in GEOMETRY_BUILDERS.items():
+        coarse = g = build()
+        degree = min(sum(g.periodic), g.covered.complex.dim)
+        classes = {"torsion": lambda: torsion_class(coarse, q=5, w=2, degree=degree)}
+        if name == "sphere-octahedron-2chart":
+            classes["monopole"] = lambda: monopole(coarse, 1)
+        for depth in range(2 if name == "torus3-8chart" else 3):
+            if depth:
+                g = subdivide_geometry(g)
+            label = f"{name}/{depth}"
+            yield f"{label} lifts keys", digest(list(g.lifts))
+            yield f"{label} lifts rows", digest(
+                [(rows, {type(x).__name__ for r in rows for x in r})
+                 for rows in g.lifts.values()]
+            )
+            for kind, make in classes.items():
+                for exact in (True, False):
+                    yield f"{label} discretize {kind} {'rational' if exact else 'float'}", digest(
+                        outcome(lambda: list(discretize(make(), geometry=g, exact=exact).entries()))
+                    )
 
 
 def integer_turns(cover, degree: int, exact: bool):
@@ -163,6 +203,7 @@ def digests(workdir: str):
         zero_cochain,
     )
 
+    yield from geometry_digests()
     for name, cover_name, cover in cases():
         p = cover.complex.dim
         for exact in (True, False):
