@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import fsum, isfinite, pi
-from typing import Iterable, List, Union
+from typing import Iterable, List, Sequence, Union
 
 from .errors import CochainError
 
@@ -95,26 +95,16 @@ def integer_residual(x: Scalar, exact: bool) -> tuple[int, Scalar]:
     return n, abs(x - n * turn)
 
 
-def tree_sum(values: Iterable[Scalar], exact: bool) -> Scalar:
-    """Deterministic sum, independent of how the caller batched the terms.
-
-    One group of :func:`group_sums`; no terms give the typed zero.
-    """
-    vals = list(values)
-    if not vals:
-        return zero(exact)
-    return group_sums([vals], exact)[0]
-
-
-def group_sums(groups: Iterable[Iterable[Scalar]], exact: bool) -> List[Scalar]:
-    """The sum of each group of terms.
+def group_sums(groups: Iterable[Sequence[Scalar]], exact: bool) -> List[Scalar]:
+    """The sum of each group of terms, independent of the terms' order;
+    an empty group sums to the typed zero.
 
     Floats use one math.fsum per group (exact up to one final rounding,
     hence stable under reordering of equal inputs; NaN passes through, an
     overflow or inf - inf raises CochainError); exact values add exactly.
     """
     if exact:
-        return [sum(g) for g in groups]
+        return [sum(g) if g else Fraction(0) for g in groups]
     try:
         return [fsum(g) for g in groups]
     except (OverflowError, ValueError) as e:

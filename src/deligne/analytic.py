@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ._scalars import TWO_PI, Scalar, coerce, tree_sum
+from ._scalars import TWO_PI, Scalar, coerce, group_sums
 from .cochain import DeligneCochain, build_cochain
 from .errors import AnalyticError
 from .geometry import ChartedGeometry
@@ -186,7 +186,7 @@ def evaluate_scalar(
             else geom.vertex_value(t.linear[1], v, t.linear[0])
         )
         parts.append(_term_value(t, geom, branch, exact))
-    return tree_sum(parts, exact)
+    return group_sums([parts], exact)[0]
 
 
 def _rows_chart(geom: ChartedGeometry, sigma: Simplex) -> int:
@@ -228,7 +228,7 @@ def integrate_form(
         if t.linear is not None:
             factor *= sum(r[t.linear[0]] for r in rows) / len(rows)
         parts.append(_term_value(t, geom, factor, exact))
-    return tree_sum(parts, exact)
+    return group_sums([parts], exact)[0]
 
 
 # -- presentations ----------------------------------------------------------------
@@ -305,6 +305,8 @@ def discretize(
     entries = []
     for k in range(p + 1):
         rule = pres.components[k]
+        if rule is _no_component:
+            continue
         length = p - k + 1
         for s in cov.complex.simplices(k):
             for J in cov.multi_indices(s, length):

@@ -16,19 +16,30 @@ The cocycle conditions use the fixed sign convention
 
 with level 0 replaced by integrality: delta C^0 must land in 2*pi*Z.
 
+Storage is one value row per (k, s) that holds an entry: a list of the
+values of C^k at the canonical k-simplex s over the multi-indices
+``combinations(admissible(s), p - k + 1)``, in that order, so the slots of
+a row are sorted by multi-index.  An int 0 in a slot means "no entry";
+the kernels store ``v or 0``, so a result of 0 is no entry, while a float
+handed to the constructor (even -0.0 or NaN) stays one.  No key is stored
+per entry; :func:`_slot` maps a sorted multi-index to its slot when a
+single value is wanted.  A row is never changed in place once a cochain
+holds it, so cochains may share rows.
+
 Whole-cochain passes (validation, the gauge move, trivialization and
 Chern class extraction) evaluate both differentials with one per-simplex
-kernel on canonical keys: dropping one index from an increasing
-multi-index keeps it increasing, and the facets of a canonical simplex
-are canonical, so no key is ever sorted.  For a k-simplex s with m
-admissible charts and multi-indices J of length n, the kernel reads the
-values of X^k over the (n-1)-subsets of the charts once, one dict lookup
-per stored slot, into a list followed by its negations.  An omission
-template for (m, n), built once per pass, has one row per J: an
-itemgetter that picks the terms (-1)^j X(J without J[j]) from that list,
-so (delta X)(s, J) is the sum of one row.  (d Y^(k-1))(s, J) reads each
-facet's values over the same J as columns and sums them row by row.
-``cech_delta`` and ``discrete_d`` evaluate one slot term by term.
+kernel that reads rows: dropping one index from an increasing multi-index
+keeps it increasing, and the facets of a canonical simplex are canonical,
+so no key is ever sorted or looked up.  For a k-simplex s with m
+admissible charts and multi-indices J of length n, the values of X^k over
+the (n-1)-subsets of the charts are s's own row, followed by their
+negations.  An omission template for (m, n), built once per pass, has one
+row per J: an itemgetter that picks the terms (-1)^j X(J without J[j]), so
+(delta X)(s, J) is the sum of one template row.  (d Y^(k-1))(s, J) reads
+each facet's row as a column: the slots of s's n-subsets among the
+facet's, found once per pass for each pattern of s's chart positions
+among the facet's charts.  The columns are summed row by row.  ``cech_delta`` and ``discrete_d`` evaluate one
+slot term by term.
 
 An exact cochain stores Python-int numerators over one ``scale``, the lcm
 of its entries' reduced denominators, and every operation returns that
@@ -51,7 +62,7 @@ from math import comb, gcd, isfinite, lcm
 from operator import add, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ._scalars import TWO_PI, Scalar, coerce, exceeds, group_sums, tree_sum, zero
+from ._scalars import TWO_PI, Scalar, coerce, exceeds, group_sums, zero
 from .cover import CoveredComplex, attach_cover
 from .errors import CochainError
 from .simplicial import (
@@ -67,18 +78,23 @@ from .simplicial import (
 
 MultiIndex = Tuple[int, ...]
 Key = Tuple[int, Simplex, MultiIndex]
-Values = Mapping[Key, Scalar]
+Level = Dict[Simplex, List]  # s -> its row of one level
+Rows = List[Level]  # one Level per k = 0..p
 Term = Tuple[int, int, Simplex, Sequence[int]]  # (sign, k, simplex, chart word)
 
 
 class DeligneCochain:
     """Sparse cochain; missing entries are 0.  Use :func:`build_cochain`.
 
-    ``data`` maps canonical keys to nonzero values over ``scale``: in exact
-    mode Python-int numerators, the entry being ``Fraction(n, scale)`` with
-    ``scale`` the lcm of the entries' reduced denominators (1 when there
-    are none); in float mode floats over scale 1.  Any other scale or value
-    type raises :class:`CochainError`.
+    ``data`` maps canonical keys (k, s, J) to values over ``scale``: in
+    exact mode Python-int numerators, the entry being ``Fraction(n, scale)``
+    with ``scale`` the lcm of the entries' reduced denominators (1 when
+    there are none); in float mode floats over scale 1.  Any other scale or
+    value type raises :class:`CochainError`, and so does a key whose charts
+    are not increasing and admissible for its simplex.
+
+    The cochain keeps no keys: each entry moves into the value row of its
+    (k, s), at J's slot (see the module docstring).  An int 0 is no entry.
     """
 
     def __init__(
@@ -97,9 +113,12 @@ class DeligneCochain:
                 raise CochainError("exact cochain data must be int numerators over scale")
         elif scale != 1:
             raise CochainError(f"float cochain scale must be 1, got {scale!r}")
+        rows = _no_rows(degree)
+        for key, value in data.items():
+            _admit(base, rows, key, value)
         self.base = base
         self.degree = degree
-        self._data = data
+        self._rows = rows
         self.exact = exact
         self.cocycle = cocycle
         self.scale = scale
@@ -108,23 +127,19 @@ class DeligneCochain:
         """Evaluate C^k with antisymmetry in both arguments."""
         s, ps = sort_with_parity(tuple(sigma))
         idx, pi = parity_sort(tuple(indices))
-        if pi == 0:
-            return zero(self.exact)
-        value = self._data.get((k, s, idx))
-        if value is None:
+        value = _value(self, k, s, idx) if pi else 0
+        if not (value or type(value) is float):
             return zero(self.exact)
         return _unscaled(ps * pi * value, self.scale, self.exact)
 
     def stored(self) -> Iterator[Tuple[int, Simplex, MultiIndex, Scalar]]:
-        """Stored nonzero entries in canonical (k, simplex, indices) order,
-        as stored: int numerators over ``scale`` in exact mode, floats in
+        """Stored entries in canonical (k, simplex, indices) order, as
+        stored: int numerators over ``scale`` in exact mode, floats in
         float mode."""
-        data = self._data
-        for key in sorted(data):
-            yield (*key, data[key])
+        return _entries(self.base, self._rows)
 
     def entries(self) -> Iterable[Tuple[int, Simplex, MultiIndex, Scalar]]:
-        """Stored nonzero entries in canonical (k, simplex, indices) order.
+        """Stored entries in canonical (k, simplex, indices) order.
 
         Exact mode builds one Fraction per distinct numerator per call."""
         if not self.exact:
@@ -139,15 +154,77 @@ class DeligneCochain:
             yield k, s, J, value
 
     def __len__(self) -> int:
-        """The number of stored nonzero entries."""
-        return len(self._data)
+        """The number of stored entries."""
+        return sum(1 for _ in self.stored())
 
     def __repr__(self) -> str:
         mode = "exact" if self.exact else "float"
         return (
-            f"DeligneCochain(degree={self.degree}, entries={len(self._data)}, "
+            f"DeligneCochain(degree={self.degree}, entries={len(self)}, "
             f"{mode}, cocycle={self.cocycle})"
         )
+
+
+def _cochain(
+    base: CoveredComplex,
+    degree: int,
+    rows: Rows,
+    exact: bool,
+    cocycle: bool = False,
+    scale: int = 1,
+) -> DeligneCochain:
+    """A cochain over rows that a kernel built, in the constructor's form."""
+    c = object.__new__(DeligneCochain)
+    c.base, c.degree, c._rows = base, degree, rows
+    c.exact, c.cocycle, c.scale = exact, cocycle, scale
+    return c
+
+
+def _no_rows(degree: int) -> Rows:
+    return [{} for _ in range(degree + 1)]
+
+
+def _entries(
+    base: CoveredComplex, rows: Rows
+) -> Iterator[Tuple[int, Simplex, MultiIndex, Scalar]]:
+    """The entries of rows in canonical (k, s, J) order."""
+    for k, level in enumerate(rows):
+        n = len(rows) - k
+        for s in sorted(level):
+            for J, v in zip(combinations(base.admissible_of(s), n), level[s]):
+                if v or type(v) is float:
+                    yield k, s, J, v
+
+
+def _slot(charts: Tuple[int, ...], J: MultiIndex) -> Optional[int]:
+    """J's position in ``combinations(charts, len(J))``, for sorted charts;
+    None unless J is strictly increasing over them.
+
+    The lexicographic rank of positions q_0 < ... < q_(n-1) among the
+    n-subsets of range(m) is C(m, n) - 1 - sum_i C(m - 1 - q_i, n - i)."""
+    m, n = len(charts), len(J)
+    slot = comb(m, n) - 1
+    q = -1
+    try:
+        for a in J:
+            q = charts.index(a, q + 1)
+            slot -= comb(m - 1 - q, n)
+            n -= 1
+    except ValueError:
+        return None
+    return slot
+
+
+def _value(c: DeligneCochain, k: int, s: Simplex, J: MultiIndex) -> Scalar:
+    """The stored value at canonical (k, s, J) over c's scale; 0 where
+    there is no entry."""
+    if 0 <= k <= c.degree and len(J) == c.degree - k + 1:
+        row = c._rows[k].get(s)
+        if row is not None:
+            slot = _slot(c.base.admissible_of(s), J)
+            if slot is not None:
+                return row[slot]
+    return 0
 
 
 def build_cochain(
@@ -182,7 +259,7 @@ def _build(
     (float, 1) in float mode, so no Fraction is needed."""
     if degree < 0:
         raise CochainError("cochain degree must be nonnegative")
-    data: Dict[Key, object] = {}  # (n, d) pairs, then the stored values
+    rows = _no_rows(degree)  # (n, d) pairs, then the stored values
     for k, indices, simplex, raw in entries:
         if not 0 <= k <= degree:
             raise CochainError(f"component level {k} outside 0..{degree}")
@@ -202,61 +279,85 @@ def _build(
                     f"repeated chart index {tuple(indices)} with nonzero value"
                 )
             continue
-        _admit(base, data, (k, s, idx), (ps * pi * n, d))
-    for key in [key for key, (n, _) in data.items() if n == 0]:
-        del data[key]
-    scale = lcm(*{d for _, d in data.values()})
-    for key, (n, d) in data.items():
-        data[key] = n * (scale // d) if exact else n
-    return DeligneCochain(base, degree, data, exact, scale=scale)
+        _admit(base, rows, (k, s, idx), (ps * pi * n, d))
+    scale = lcm(
+        *{x[1] for level in rows for row in level.values() for x in row if x and x[0]}
+    )
+    for level in rows:
+        for s, row in list(level.items()):
+            values = []
+            for x in row:
+                n, d = x or (0, 1)
+                values.append(n * (scale // d) if exact else n or 0)
+            if any(values):
+                level[s] = values
+            else:
+                del level[s]
+    return _cochain(base, degree, rows, exact, scale=scale)
 
 
-def _admit(base: CoveredComplex, data: Dict[Key, object], key: Key, value: object) -> None:
+def _admit(base: CoveredComplex, rows: Rows, key: Key, value: object) -> None:
     """Store value at a canonical key whose charts are admissible for its
-    simplex on base; a different value already there is a conflict."""
-    _, s, idx = key
-    adm = base.admissible_of(s)
-    for a in idx:
-        if a not in adm:
-            raise CochainError(f"chart {a} is not admissible for {s}")
-    if key in data and data[key] != value:
+    simplex on base; a different value already there is a conflict.  An
+    int 0 is no entry and is not stored."""
+    k, s, idx = key
+    if not (0 <= k < len(rows) and len(s) == k + 1 and len(idx) == len(rows) - k):
+        raise CochainError(f"{key} is not a key of a degree-{len(rows) - 1} cochain")
+    charts = base.admissible_of(s)
+    slot = _slot(charts, idx)
+    if slot is None:
+        for a in idx:
+            if a not in charts:
+                raise CochainError(f"chart {a} is not admissible for {s}")
+        raise CochainError(f"multi-index {idx} is not increasing")
+    if not (value or type(value) is float):
+        return
+    row = rows[k].get(s)
+    if row is None:
+        row = rows[k][s] = [0] * comb(len(charts), len(idx))
+    old = row[slot]
+    if (old or type(old) is float) and old != value:
         raise CochainError(f"conflicting duplicate entry at {key}")
-    data[key] = value
+    row[slot] = value
 
 
 def _canonical(c: DeligneCochain) -> DeligneCochain:
     """c with its exact scale and numerators divided by their gcd, which
     leaves the scale at the lcm of the reduced denominators."""
     if c.exact:
-        g = gcd(c.scale, *c._data.values())
+        g = gcd(c.scale, *(n for level in c._rows for row in level.values() for n in row))
         if g > 1:
-            c._data = {key: n // g for key, n in c._data.items()}
+            c._rows = [
+                {s: [n // g for n in row] for s, row in level.items()} for level in c._rows
+            ]
             c.scale //= g
     return c
 
 
 def zero_cochain(base: CoveredComplex, degree: int, exact: bool = False) -> DeligneCochain:
-    return DeligneCochain(base, degree, {}, exact, cocycle=True)
+    return _cochain(base, degree, _no_rows(degree), exact, cocycle=True)
 
 
 # -- differentials -----------------------------------------------------------
 
 
-def _scaled(*cochains: DeligneCochain) -> Tuple[List[Values], int]:
-    """Kernel input: one value map per cochain over one common scale.
+def _scaled(*cochains: DeligneCochain) -> Tuple[List[Rows], int]:
+    """Kernel input: the rows of each cochain over one common scale.
 
-    Each stored map is passed through as it is unless the cochains' scales
-    differ; then exact entries are rescaled to the lcm of the scales for
-    this call.  Float maps are always passed through over 1.
+    Each cochain's rows are passed through as they are unless the
+    cochains' scales differ; then exact rows are rescaled to the lcm of the
+    scales for this call.  Float rows are always passed through over 1.
     """
     scale = lcm(*(c.scale for c in cochains))
-    maps = [
-        c._data
-        if c.scale == scale
-        else {key: n * (scale // c.scale) for key, n in c._data.items()}
-        for c in cochains
-    ]
-    return maps, scale
+    out = []
+    for c in cochains:
+        f = scale // c.scale
+        out.append(
+            c._rows
+            if f == 1
+            else [{s: [n * f for n in row] for s, row in level.items()} for level in c._rows]
+        )
+    return out, scale
 
 
 def _unscaled(x: Scalar, scale: int, exact: bool) -> Scalar:
@@ -289,63 +390,102 @@ def _omissions(m: int, n: int) -> List[itemgetter]:
     return rows
 
 
+def _picks(pattern: Tuple[int, Tuple[int, ...]], n: int) -> Tuple[int, ...]:
+    """For a chart set at ``positions`` among a wider set of ``size``
+    charts, ``pattern = (size, positions)``: the slots of its n-subsets
+    among the wider set's, in combinations order."""
+    size, positions = pattern
+    wider = tuple(range(size))
+    return tuple(_slot(wider, J) for J in combinations(positions, n))
+
+
 def _coboundaries(
     base: CoveredComplex,
     k: int,
     n: int,
-    xv: Optional[Values],
-    yv: Optional[Values],
+    xv: Optional[Level],
+    yv: Optional[Level],
     exact: bool,
-) -> Iterator[Tuple[Simplex, List[MultiIndex], Optional[List[Scalar]], Optional[List[Scalar]]]]:
-    """Kernel: (s, Js, delta, d) for each canonical k-simplex s with at
+) -> Iterator[Tuple[Simplex, Tuple[int, ...], Optional[List[Scalar]], Optional[List[Scalar]]]]:
+    """Kernel: (s, charts, delta, d) for each canonical k-simplex s with at
     least n admissible charts.
 
-    Js are its increasing admissible n-tuples in combinations order;
-    delta[r] = (delta X^k)(s, Js[r]) over the value map ``xv`` and
-    d[r] = (d Y^(k-1))(s, Js[r]) over ``yv``, each None where its map is.
-    X's values over s are read once, one lookup per (n-1)-tuple, and each
-    delta is one sum of a template row over them; Y's values are read
-    once per facet and n-tuple.  Every sum takes its terms in the order
-    of the alternating and the facet sum.  The templates live as long as
+    The multi-indices of s are ``combinations(charts, n)``; delta[r] =
+    (delta X^k)(s, J_r) over X's level-k rows ``xv`` and d[r] =
+    (d Y^(k-1))(s, J_r) over Y's level-(k-1) rows ``yv``, each None where
+    its rows are.  X's terms are s's own row, and each delta is one sum of
+    a template row over them; Y's terms are each facet's row, read through
+    the facet's picks.  Every sum takes its terms in the order of the
+    alternating and the facet sum.  Templates and picks live as long as
     the generator."""
+    z = 0 if exact else 0.0  # the sum of terms that are all int 0
     templates: Dict[int, List[itemgetter]] = {}
+    picks: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
     for s in base.complex.simplices(k):
         charts = base.admissible_of(s)
         m = len(charts)
         if m < n:
             continue
-        Js = list(combinations(charts, n))
+        N = comb(m, n)
         delta = d = None
         if xv is not None:
-            get = xv.get
-            terms = [get((k, s, K), 0) for K in combinations(charts, n - 1)]
-            terms += [-x for x in terms]
-            rows = templates.get(m)
-            if rows is None:
-                rows = templates[m] = _omissions(m, n)
-            delta = group_sums([row(terms) for row in rows], exact)
+            row = xv.get(s)
+            if row is None:
+                delta = [z] * N
+            else:
+                terms = row + [-x for x in row]
+                rows = templates.get(m)
+                if rows is None:
+                    rows = templates[m] = _omissions(m, n)
+                delta = group_sums([t(terms) for t in rows], exact)
         if yv is not None:
-            get = yv.get
-            columns = [[sign * get((k - 1, f, J), 0) for J in Js] for f, sign in facets_of(s)]
-            d = group_sums(zip(*columns), exact)
-        yield s, Js, delta, d
+            zeros = [0] * N
+            columns = []
+            for f, sign in facets_of(s):
+                row = yv.get(f)
+                if row is None:
+                    columns.append(zeros)
+                    continue
+                wider = base.admissible_of(f)
+                if wider != charts:
+                    pattern = (len(wider), tuple(map(wider.index, charts)))
+                    pick = picks.get(pattern)
+                    if pick is None:
+                        pick = picks[pattern] = _picks(pattern, n)
+                    row = list(map(row.__getitem__, pick))
+                columns.append(row if sign > 0 else [-y for y in row])
+            if all(column is zeros for column in columns):
+                d = [z] * N
+            else:
+                d = group_sums(zip(*columns), exact)
+        yield s, charts, delta, d
 
 
 def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
     """Kernel: per group of (sign, k, s, word) terms with s canonical and the
     word in any order, the sum of sign * C^k(s, word) in c's scalar type.
-    All groups read the stored values over c's scale."""
-    exact, scale = c.exact, c.scale
-    get = c._data.get
-    sums = []
+    All groups read the stored values over c's scale; each value is looked
+    up once per call."""
+    exact, scale, rows, charts = c.exact, c.scale, c._rows, c.base.admissible_of
+    memo: Dict[Tuple[Simplex, MultiIndex], Scalar] = {}  # (s, J): the stored C^k(s, J)
+    get = memo.get
+    outs = []
     for terms in groups:
         out = []
         for sign, k, s, word in terms:
+            row = rows[k].get(s)
+            if row is None or len(set(word)) < len(word):
+                continue  # a term of 0 leaves every sum as it is
             idx, parity = parity_sort(word)
-            if parity:
-                out.append(sign * parity * get((k, s, idx), 0))
-        sums.append(_unscaled(tree_sum(out, exact), scale, exact))
-    return sums
+            key = (s, idx)
+            v = get(key)
+            if v is None:
+                slot = _slot(charts(s), idx)
+                v = memo[key] = 0 if slot is None else row[slot]
+            if v:
+                out.append(sign * parity * v)
+        outs.append(out)
+    return [_unscaled(x, scale, exact) for x in group_sums(outs, exact)]
 
 
 def cech_delta(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
@@ -354,9 +494,9 @@ def cech_delta(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     J, pj = parity_sort(tuple(indices))
     if pj == 0:
         return zero(c.exact)
-    get, k = c._data.get, len(s) - 1
-    terms = [(-1 if j & 1 else 1) * get((k, s, J[:j] + J[j + 1:]), 0) for j in range(len(J))]
-    return _unscaled(ps * pj * tree_sum(terms, c.exact), c.scale, c.exact)
+    k = len(s) - 1
+    terms = [(-1 if j & 1 else 1) * _value(c, k, s, J[:j] + J[j + 1:]) for j in range(len(J))]
+    return _unscaled(ps * pj * group_sums([terms], c.exact)[0], c.scale, c.exact)
 
 
 def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) -> Scalar:
@@ -372,9 +512,9 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
     J, pj = parity_sort(tuple(indices))
     if pj == 0:
         return zero(c.exact)
-    get, k = c._data.get, len(s) - 1
-    terms = [sign * get((k - 1, f, J), 0) for f, sign in facets_of(s)]
-    return _unscaled(ps * pj * tree_sum(terms, c.exact), c.scale, c.exact)
+    k = len(s) - 1
+    terms = [sign * _value(c, k - 1, f, J) for f, sign in facets_of(s)]
+    return _unscaled(ps * pj * group_sums([terms], c.exact)[0], c.scale, c.exact)
 
 
 def _nearest_turns(
@@ -447,7 +587,7 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     """
     p = c.degree
     exact = c.exact
-    values, scale = c._data, c.scale
+    rows, scale = c._rows, c.scale
     worst: Dict[int, Scalar] = {}
     checked: Dict[int, int] = {}
     failing: List[FailedCondition] = []
@@ -455,12 +595,12 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     # Level 0 residuals are measured in turns: |delta C^0 / 2pi - n|.
     count = 0
     top = zero(exact)
-    for v, Js, delta, _ in _coboundaries(c.base, 0, p + 2, values, None, exact):
-        count += len(Js)
+    for v, charts, delta, _ in _coboundaries(c.base, 0, p + 2, rows[0], None, exact):
+        count += len(delta)
         turns = _nearest_turns(delta, scale, exact)
         if turns is None:  # every condition holds exactly
             continue
-        for J, (n, residual) in zip(Js, turns):
+        for J, (n, residual) in zip(combinations(charts, p + 2), turns):
             if not residual:  # neither the worst nor a breach
                 continue
             if _worse(residual, top):
@@ -474,9 +614,10 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
         count = 0
         top = zero(exact)
         sign = (-1) ** (p - k)
-        for s, Js, delta, d in _coboundaries(c.base, k, p - k + 2, values, values, exact):
-            count += len(Js)
-            for J, x, y in zip(Js, delta, d):
+        n = p - k + 2
+        for s, charts, delta, d in _coboundaries(c.base, k, n, rows[k], rows[k - 1], exact):
+            count += len(delta)
+            for J, x, y in zip(combinations(charts, n), delta, d):
                 gap = x - sign * y
                 if not gap:
                     continue
@@ -511,42 +652,49 @@ def _require_same_base(a: DeligneCochain, b: DeligneCochain) -> None:
 
 
 def tensor(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
-    """Componentwise sum: the log/integral picture of the tensor product."""
+    """Componentwise sum: the log/integral picture of the tensor product.
+    A row only one of the two holds is taken as it is."""
     _require_same_base(c1, c2)
     if c1.degree != c2.degree:
         raise CochainError("tensor needs equal degrees")
-    (v1, v2), scale = _scaled(c1, c2)
-    data = dict(v1)
-    for key, v in v2.items():
-        s = data.get(key)
-        total = v if s is None else s + v
-        if total == 0:
-            data.pop(key, None)
-        else:
-            data[key] = total
+    (r1, r2), scale = _scaled(c1, c2)
+    rows = []
+    for l1, l2 in zip(r1, r2):
+        level = dict(l1)
+        for s, row in l2.items():
+            own = level.get(s)
+            if own is None:
+                level[s] = row
+                continue
+            total = [(x + y) or 0 for x, y in zip(own, row)]
+            if any(total):
+                level[s] = total
+            else:
+                del level[s]
+        rows.append(level)
     cocycle = c1.cocycle and c2.cocycle
-    out = DeligneCochain(c1.base, c1.degree, data, c1.exact, cocycle, scale)
-    return _canonical(out)
+    return _canonical(_cochain(c1.base, c1.degree, rows, c1.exact, cocycle, scale))
 
 
 def dual(c: DeligneCochain) -> DeligneCochain:
-    data = {k: -v for k, v in c._data.items()}
-    return DeligneCochain(c.base, c.degree, data, c.exact, c.cocycle, c.scale)
+    rows = [{s: [-v for v in row] for s, row in level.items()} for level in c._rows]
+    return _cochain(c.base, c.degree, rows, c.exact, c.cocycle, c.scale)
 
 
 def _shifted(
-    base: CoveredComplex, cv: Values, bv: Values, exact: bool, p: int, k: int
-) -> Iterator[Tuple[Simplex, List[MultiIndex], List[Scalar]]]:
-    """Kernel: (s, Js, values) per k-simplex s with values[r] the level-k
-    entry of c + D(b) at (s, Js[r]), from the value maps of c and b, with
-    b^p treated as 0; each is (c + delta b) +- d b, in that order."""
+    base: CoveredComplex, cv: Rows, bv: Rows, exact: bool, p: int, k: int
+) -> Iterator[Tuple[Simplex, Tuple[int, ...], List[Scalar]]]:
+    """Kernel: (s, charts, values) per k-simplex s with values[r] the
+    level-k entry of c + D(b) at s's r-th multi-index, from the rows of c
+    and b, with b^p treated as 0; each is (c + delta b) +- d b, in that
+    order."""
     n = p - k + 1
     odd = (p - k) & 1
-    get = cv.get
-    xv = bv if k < p else None
-    yv = bv if k >= 1 else None
-    for s, Js, delta, d in _coboundaries(base, k, n, xv, yv, exact):
-        values = [get((k, s, J), 0) for J in Js]
+    own = cv[k]
+    xv = bv[k] if k < p else None
+    yv = bv[k - 1] if k >= 1 else None
+    for s, charts, delta, d in _coboundaries(base, k, n, xv, yv, exact):
+        values = own.get(s) or [0] * comb(len(charts), n)
         if delta is not None:
             values = [v + x for v, x in zip(values, delta)]
         if d is not None:
@@ -554,7 +702,7 @@ def _shifted(
                 values = [v - y for v, y in zip(values, d)]
             else:
                 values = [v + y for v, y in zip(values, d)]
-        yield s, Js, values
+        yield s, charts, values
 
 
 def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
@@ -565,13 +713,13 @@ def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
     p = c.degree
     exact = c.exact
     (cv, bv), scale = _scaled(c, b)
-    data: Dict[Key, Scalar] = {}
-    for k in range(0, p + 1):
-        for s, Js, values in _shifted(c.base, cv, bv, exact, p, k):
-            for J, v in zip(Js, values):
-                if v != 0:
-                    data[(k, s, J)] = v
-    return _canonical(DeligneCochain(c.base, p, data, exact, c.cocycle, scale))
+    rows = _no_rows(p)
+    for k, level in enumerate(rows):
+        for s, _, values in _shifted(c.base, cv, bv, exact, p, k):
+            row = [v or 0 for v in values]
+            if any(row):
+                level[s] = row
+    return _canonical(_cochain(c.base, p, rows, exact, c.cocycle, scale))
 
 
 @dataclass(frozen=True)
@@ -606,9 +754,11 @@ def verify_trivialization(
     lower_failing: List[FailedCondition] = []
     for k in range(0, p):
         top = zero(exact)
-        for s, Js, shifted in _shifted(c.base, {}, bv, exact, p, k):  # D(b) alone
-            for J, x in zip(Js, shifted):
-                residual = _residual(cv.get((k, s, J), 0) - x, scale, exact)
+        own = cv[k]
+        for s, charts, shifted in _shifted(c.base, _no_rows(p), bv, exact, p, k):  # D(b) alone
+            row = own.get(s) or [0] * len(shifted)
+            for J, v, x in zip(combinations(charts, p - k + 1), row, shifted):
+                residual = _residual(v - x, scale, exact)
                 if _worse(residual, top):
                     top = residual
                 if exceeds(residual, tol, exact):
@@ -618,10 +768,10 @@ def verify_trivialization(
     top_residuals: Dict[Simplex, Scalar] = {}
     spread = zero(exact)
     ok = not lower_failing
-    for s, Js, _, d in _coboundaries(c.base, p, 1, None, bv, exact):
-        values = [
-            _unscaled(cv.get((p, s, J), 0) - y, scale, exact) for J, y in zip(Js, d)
-        ]
+    own = cv[p]
+    for s, _, _, d in _coboundaries(c.base, p, 1, None, bv[p - 1], exact):
+        row = own.get(s) or [0] * len(d)
+        values = [_unscaled(v - y, scale, exact) for v, y in zip(row, d)]
         top_residuals[s] = values[0]
         for v in values:
             gap = abs(v - values[0])
@@ -670,42 +820,45 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
         raise CochainError("chern_cocycle requires a cochain flagged as cocycle")
     p = c.degree
     exact = c.exact
-    values, scale = c._data, c.scale
+    scale = c.scale
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
-    for v, Js, delta, _ in _coboundaries(c.base, 0, p + 2, values, None, exact):
+    numbers: Level = {}  # the integers as level-0 rows
+    for v, charts, delta, _ in _coboundaries(c.base, 0, p + 2, c._rows[0], None, exact):
         turns = _nearest_turns(delta, scale, exact)
         if turns is None:  # whole turns x / scale, no residual
-            entries.update(((v, J), x // scale) for J, x in zip(Js, delta) if x)
-            continue
-        for J, (n, residual) in zip(Js, turns):
-            if exceeds(residual, tol, exact):
-                raise CochainError(
-                    f"integrality violation at {v} {J}: residual {residual} turns"
-                )
-            if n != 0:
-                entries[(v, J)] = n
+            ns = [x // scale for x in delta]
+        else:
+            ns = []
+            for J, (n, residual) in zip(combinations(charts, p + 2), turns):
+                if exceeds(residual, tol, exact):
+                    raise CochainError(
+                        f"integrality violation at {v} {J}: residual {residual} turns"
+                    )
+                ns.append(n)
+        if any(ns):
+            numbers[v] = ns
+            entries.update(((v, J), n) for J, n in zip(combinations(charts, p + 2), ns) if n)
     cocycle = IntegerCechCocycle(c.base, p + 2, entries)
-    numbers = {(0, v, J): n for (v, J), n in entries.items()}
-    for v, Js, delta, _ in _coboundaries(c.base, 0, p + 3, numbers, None, True):
-        for J, x in zip(Js, delta):
+    for v, charts, delta, _ in _coboundaries(c.base, 0, p + 3, numbers, None, True):
+        for J, x in zip(combinations(charts, p + 3), delta):
             if x != 0:
                 raise CochainError(f"rounded cocycle is not closed at {v} {J}")
     return cocycle
 
 
 def restrict_cochain(c: DeligneCochain, sub: CoveredComplex) -> DeligneCochain:
-    """Restriction to a subcomplex cover: keep entries whose simplex survives.
+    """Restriction to a subcomplex cover: keep the rows whose simplex
+    survives, which must keep its charts there.
 
     The degree is unchanged; components above the subcomplex dimension
     simply have no simplices to live on.  A restricted cocycle stays a
     cocycle, so the flag is carried over.
     """
-    data = {
-        (k, s, J): v
-        for (k, s, J), v in c._data.items()
-        if sub.complex.has(s)
-    }
-    return _canonical(DeligneCochain(sub, c.degree, data, c.exact, c.cocycle, c.scale))
+    rows = [{s: row for s, row in level.items() if sub.complex.has(s)} for level in c._rows]
+    for s in (s for level in rows for s in level):
+        if sub.admissible_of(s) != c.base.admissible_of(s):
+            raise CochainError(f"{s} has other charts on the subcomplex cover")
+    return _canonical(_cochain(sub, c.degree, rows, c.exact, c.cocycle, c.scale))
 
 
 def reverse_cochain(c: DeligneCochain) -> DeligneCochain:
@@ -719,7 +872,8 @@ def reverse_cochain(c: DeligneCochain) -> DeligneCochain:
     cov2 = attach_cover(
         K2, c.base.num_sets, {t: c.base.admissible_of(t) for t in K2.tops}
     )
-    return DeligneCochain(cov2, c.degree, dict(c._data), c.exact, c.cocycle, c.scale)
+    rows = [dict(level) for level in c._rows]
+    return _cochain(cov2, c.degree, rows, c.exact, c.cocycle, c.scale)
 
 
 def _transport(
@@ -741,15 +895,15 @@ def _transport(
     for t in c2.base.complex.tops:
         admissible[moved(t)[0]] = c2.base.admissible_of(t)
     cover = attach_cover(K, max(c1.base.num_sets, c2.base.num_sets), admissible)
-    (v1, v2), scale = _scaled(c1, c2)
-    data: Dict[Key, Scalar] = {}
-    for key in sorted(v1):
-        _admit(cover, data, key, v1[key])
-    for k, s, J in sorted(v2):
+    (r1, r2), scale = _scaled(c1, c2)
+    rows = _no_rows(c1.degree)
+    for k, s, J, v in _entries(c1.base, r1):
+        _admit(cover, rows, (k, s, J), v)
+    for k, s, J, v in _entries(c2.base, r2):
         s2, parity = moved(s)
-        _admit(cover, data, (k, s2, J), parity * v2[(k, s, J)])
+        _admit(cover, rows, (k, s2, J), parity * v)
     cocycle = c1.cocycle and c2.cocycle
-    return DeligneCochain(cover, c1.degree, data, c1.exact, cocycle, scale)
+    return _cochain(cover, c1.degree, rows, c1.exact, cocycle, scale)
 
 
 def disjoint_union_cochains(
@@ -795,10 +949,10 @@ def random_cochain(
 
     Not a cocycle in general; meant as shift data b or as raw material for
     corruption tests.  One value is drawn per admissible slot, levels and
-    simplices in ascending order.  Exact mode draws an integer numerator
-    in [-denominator, denominator] and stores it over ``denominator``,
-    which must be an int >= 1; float mode draws radians in (-pi, pi).
-    Draws of 0 are dropped."""
+    simplices in ascending order, each row in slot order.  Exact mode
+    draws an integer numerator in [-denominator, denominator] and stores it
+    over ``denominator``, which must be an int >= 1; float mode draws
+    radians in (-pi, pi).  Draws of 0 are no entries."""
     import random as _random
 
     if degree < 0:
@@ -806,17 +960,19 @@ def random_cochain(
     if type(denominator) is not int or denominator < 1:
         raise CochainError(f"denominator must be an int >= 1, got {denominator!r}")
     rng = _random.Random(seed)
-    data: Dict[Key, Scalar] = {}
+    randrange, uniform = rng.randrange, rng.uniform
+    rows = _no_rows(degree)
     K = base.complex
     for k in range(min(degree, K.dim) + 1):
-        length = degree - k + 1
+        n = degree - k + 1
+        level = rows[k]
         for s in K.simplices(k):
-            for J in base.multi_indices(s, length):
-                if exact:
-                    val: Scalar = rng.randrange(-denominator, denominator + 1)
-                else:
-                    val = rng.uniform(-3.141592653589793, 3.141592653589793)
-                if val != 0:
-                    data[(k, s, J)] = val
+            slots = range(comb(len(base.admissible_of(s)), n))
+            if exact:
+                row = [randrange(-denominator, denominator + 1) for _ in slots]
+            else:
+                row = [uniform(-3.141592653589793, 3.141592653589793) or 0 for _ in slots]
+            if any(row):
+                level[s] = row
     scale = denominator if exact else 1
-    return _canonical(DeligneCochain(base, degree, data, exact, scale=scale))
+    return _canonical(_cochain(base, degree, rows, exact, scale=scale))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
-from ._scalars import Scalar, exceeds, integer_residual, tree_sum, wrap
+from ._scalars import Scalar, exceeds, group_sums, integer_residual, wrap
 from .cochain import DeligneCochain, Term, _word_sums, discrete_d
 from .cover import CoveredComplex, IndexMap
 from .errors import ChartSpreadError, HolonomyError
@@ -90,7 +90,7 @@ class _FlagSums:
         """The local action from its level sums, codimension 0 first."""
         c = self.c
         counts = [len(c.base.complex.flags(c.degree - n)) for n in range(len(levels))]
-        raw = self.finite(tree_sum(levels, c.exact))
+        raw = self.finite(group_sums([levels], c.exact)[0])
         level_sums = tuple(map(LevelSum, range(len(levels)), levels, counts))
         return HolonomyValue(raw, wrap(raw, c.exact), level_sums, sum(counts), c.exact)
 
@@ -160,6 +160,6 @@ def curvature_total(
                 f"curvature of {t} depends on the chart choice (spread {max(gaps)})"
             )
         per[t] = K.orientation(t) * discrete_d(c, t, (rho(t),))
-    total = tree_sum([per[t] for t in K.tops], c.exact)
+    total = group_sums([[per[t] for t in K.tops]], c.exact)[0]
     multiple, residual = integer_residual(total, c.exact)
     return CurvatureValue(total, per, multiple, residual, c.exact)

@@ -1,8 +1,10 @@
 """Cochain storage, differentials, validation, and the gauge move."""
 
 import hashlib
+import itertools
 import math
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -40,7 +42,7 @@ from deligne import (
     verify_trivialization,
     zero_cochain,
 )
-from deligne._scalars import TWO_PI
+from deligne._scalars import TWO_PI, zero
 
 TRIANGLE = build_complex([(0, 1, 2)])
 TRI_COVER = attach_cover(TRIANGLE, 3, {(0, 1, 2): (0, 1, 2)})
@@ -904,3 +906,90 @@ def test_validation_kernel_matches_the_point_evaluators(kernel_covers, name, exa
     broken = tensor(orbit, build_cochain(cover, p, corruption, exact=exact))
     report = validate_cocycle(broken)
     assert report == naive_validate(broken)
+
+
+# -- row storage --------------------------------------------------------------
+
+
+def random_covers(seed):
+    """A random complex of dimension 1..3 under its star cover and under a
+    cover that gives each top a random nonempty set of 4 charts."""
+    rng = random.Random(seed)
+    dim = 1 + seed % 3
+    labels = rng.sample(range(20), dim + 1 + rng.randrange(4))
+    faces = [list(f) for f in itertools.combinations(labels, dim + 1)]
+    tops = rng.sample(faces, rng.randint(1, min(6, len(faces))))
+    for t in tops:
+        rng.shuffle(t)
+    K = build_complex(tops)
+    charts = {t: rng.sample(range(4), rng.randint(1, 4)) for t in K.tops}
+    return rng, {"star": star_cover(K), "charts": attach_cover(K, 4, charts)}
+
+
+def permuted(rng, t):
+    """t in a random order, with the sign of that order."""
+    out = list(t)
+    rng.shuffle(out)
+    return tuple(out), (-1) ** inversions(out)
+
+
+def assert_rows_hold(c, rng):
+    """The stored entries against stored(), len(), component() and the
+    public constructor."""
+    stored = list(c.stored())
+    keys = [(k, s, J) for k, s, J, _ in stored]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert len(c) == len(stored)
+    rows = {(k, s) for k, level in enumerate(c._rows) for s in level}
+    assert rows == {(k, s) for k, s, _, _ in stored}  # no row without an entry
+    data = {(k, s, J): v for k, s, J, v in stored}
+    shuffled = list(data.items())
+    rng.shuffle(shuffled)
+    again = DeligneCochain(c.base, c.degree, dict(shuffled), c.exact, scale=c.scale)
+    assert list(again.stored()) == stored and len(again) == len(c)
+    for k, s, J in slots(c.base, c.degree):
+        n = data.get((k, s, J))
+        want = zero(c.exact) if n is None else (Fraction(n, c.scale) if c.exact else n)
+        assert type(c.component(k, s, J)) is type(want) and c.component(k, s, J) == want
+        (s2, ps), (J2, pj) = permuted(rng, s), permuted(rng, J)
+        assert c.component(k, s2, J2) == ps * pj * want
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rows_store_every_entry_once(seed):
+    rng, covers = random_covers(seed)
+    for (name, cover), p, exact in itertools.product(covers.items(), range(4), (True, False)):
+        made = [random_cochain(cover, p, rng.randrange(10**6), exact=exact)]
+        if p >= 1:
+            b = random_cochain(cover, p - 1, rng.randrange(10**6), exact=exact)
+            orbit = exact_shift(zero_cochain(cover, p, exact), b)
+            made += [exact_shift(made[0], b), orbit, exact_shift(orbit, dual(b))]
+            assert len(made[-1]) == 0 or not exact
+        some = [key for key in slots(cover, p) if rng.random() < 0.3]
+        entries = []
+        for k, s, J in some:
+            (s2, _), (J2, _) = permuted(rng, s), permuted(rng, J)
+            value = Fraction(rng.randint(-9, 9), rng.choice([1, 2, 7]))
+            entries.append((k, J2, s2, value if exact else float(value)))
+        made.append(build_cochain(cover, p, entries, exact=exact))
+        for c in made:
+            assert_rows_hold(c, rng)
+        if not exact and some:
+            data = {some[0]: -0.0, some[-1]: math.nan} if len(some) > 1 else {some[0]: -0.0}
+            c = DeligneCochain(cover, p, data, exact=False)
+            got = {(k, s, J): repr(v) for k, s, J, v in c.stored()}
+            assert got == {key: repr(v) for key, v in data.items()}
+            assert len(c) == len(data)
+
+
+def test_dense_cochain_holds_one_row_per_simplex_and_level(solid_torus):
+    cover = star_cover(solid_torus.covered.complex)
+    c = random_cochain(cover, 3, seed=5, exact=True)
+    pairs = {(k, s) for k, s, _, _ in c.stored()}
+    rows = {(k, s): row for k, level in enumerate(c._rows) for s, row in level.items()}
+    assert set(rows) == pairs
+    assert len(rows) == sum(len(cover.complex.simplices(k)) for k in range(4))
+    for (k, s), row in rows.items():
+        assert len(row) == math.comb(len(cover.admissible_of(s)), 3 - k + 1)
+        assert all(type(v) is int for v in row)
+    assert len(c) == sum(1 for row in rows.values() for v in row if v)

@@ -17,7 +17,9 @@ arithmetic, operation):
   torsion class of the highest degree the geometry allows, presented on
   the coarse geometry, and on the sphere of the charge-1 monopole too (the
   torsion class raises at the sphere's poles, and is digested by its
-  exception);
+  exception), and ``discretize`` in both arithmetics of the cup product
+  of two winding functions, around the first and the last periodic
+  coordinate;
 - geometries and covers: the chart cover of every shipped geometry, the
   chart cover of ``torus2-4chart`` subdivided once, the star covers of
   ``annulus``, ``torus2-4chart``, ``solid-torus`` and ``torus3-8chart``,
@@ -28,7 +30,12 @@ arithmetic, operation):
   random non-cocycle), ``verify_trivialization`` (of both by the same
   shift data), ``chern_cocycle`` and ``holonomy`` (``local_action`` on a
   complex with boundary) of the orbit plus a class with integer
-  transition turns;
+  transition turns, and every flag-sum route on that class:
+  ``transition_general``, ``transition_boundary`` and
+  ``transition_p2_boundary`` between the default and a random index map,
+  and ``transgress_p3_triple`` of those two and a second random one
+  (the routes a degree or a closed complex rules out are digested by
+  their exception);
 - io: the bytes ``save_cochain`` writes for the shift data, the random
   cochain, the orbit and the integer-turn class, ``entries()`` and
   ``scale`` after ``load_cochain`` of each, and the outcome of loading
@@ -89,16 +96,25 @@ def geometry_digests():
     subdivisions, and for discretized classes on each."""
     from deligne import (
         GEOMETRY_BUILDERS,
+        cup_product,
         discretize,
         monopole,
         subdivide_geometry,
         torsion_class,
+        winding_function,
     )
 
     for name, build in GEOMETRY_BUILDERS.items():
         coarse = g = build()
         degree = min(sum(g.periodic), g.covered.complex.dim)
-        classes = {"torsion": lambda: torsion_class(coarse, q=5, w=2, degree=degree)}
+        angles = [i for i, periodic in enumerate(g.periodic) if periodic]
+        classes = {
+            "torsion": lambda: torsion_class(coarse, q=5, w=2, degree=degree),
+            "cup": lambda: cup_product(
+                winding_function(coarse, 1, coord=angles[0]),
+                winding_function(coarse, 2, coord=angles[-1]),
+            ),
+        }
         if name == "sphere-octahedron-2chart":
             classes["monopole"] = lambda: monopole(coarse, 1)
         for depth in range(2 if name == "torus3-8chart" else 3):
@@ -196,8 +212,13 @@ def digests(workdir: str):
         load_cochain,
         local_action,
         random_cochain,
+        random_index_map,
         save_cochain,
         tensor,
+        transgress_p3_triple,
+        transition_boundary,
+        transition_general,
+        transition_p2_boundary,
         validate_cocycle,
         verify_trivialization,
         zero_cochain,
@@ -231,6 +252,16 @@ def digests(workdir: str):
                 return v.raw, v.angle, v.levels, v.flag_count
 
             yield f"{label} holonomy", digest(outcome(value))
+            rho0, rho1, rho2 = (
+                default_index_map(cover), *(random_index_map(cover, s) for s in SEEDS)
+            )
+            for route in (transition_general, transition_boundary, transition_p2_boundary):
+                yield f"{label} {route.__name__}", digest(
+                    outcome(lambda: route(cls, rho0, rho1))
+                )
+            yield f"{label} transgress_p3_triple", digest(
+                outcome(lambda: transgress_p3_triple(cls, rho0, rho1, rho2))
+            )
 
             path = os.path.join(workdir, "cochain.json")
             for which, x in (("b", b), ("c", c), ("orbit", orbit), ("class", cls)):
