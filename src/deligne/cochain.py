@@ -464,26 +464,20 @@ def _coboundaries(
 def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
     """Kernel: per group of (sign, k, s, word) terms with s canonical and the
     word in any order, the sum of sign * C^k(s, word) in c's scalar type.
-    All groups read the stored values over c's scale; each value is looked
-    up once per call."""
+    All groups read the stored values over c's scale; a term of 0 leaves
+    every sum as it is and is skipped."""
     exact, scale, rows, charts = c.exact, c.scale, c._rows, c.base.admissible_of
-    memo: Dict[Tuple[Simplex, MultiIndex], Scalar] = {}  # (s, J): the stored C^k(s, J)
-    get = memo.get
     outs = []
     for terms in groups:
         out = []
         for sign, k, s, word in terms:
             row = rows[k].get(s)
-            if row is None or len(set(word)) < len(word):
-                continue  # a term of 0 leaves every sum as it is
+            if row is None:
+                continue
             idx, parity = parity_sort(word)
-            key = (s, idx)
-            v = get(key)
-            if v is None:
-                slot = _slot(charts(s), idx)
-                v = memo[key] = 0 if slot is None else row[slot]
-            if v:
-                out.append(sign * parity * v)
+            slot = _slot(charts(s), idx) if parity else None
+            if slot is not None and row[slot]:
+                out.append(sign * parity * row[slot])
         outs.append(out)
     return [_unscaled(x, scale, exact) for x in group_sums(outs, exact)]
 
@@ -653,7 +647,8 @@ def _require_same_base(a: DeligneCochain, b: DeligneCochain) -> None:
 
 def tensor(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
     """Componentwise sum: the log/integral picture of the tensor product.
-    A row only one of the two holds is taken as it is."""
+    A slot c2 has no entry at keeps c1's value as it is; any other slot
+    holds the sum, which is no entry if it equals 0."""
     _require_same_base(c1, c2)
     if c1.degree != c2.degree:
         raise CochainError("tensor needs equal degrees")
@@ -662,15 +657,14 @@ def tensor(c1: DeligneCochain, c2: DeligneCochain) -> DeligneCochain:
     for l1, l2 in zip(r1, r2):
         level = dict(l1)
         for s, row in l2.items():
-            own = level.get(s)
-            if own is None:
-                level[s] = row
-                continue
-            total = [(x + y) or 0 for x, y in zip(own, row)]
-            if any(total):
+            own = level.get(s) or [0] * len(row)
+            total = [
+                ((x + y) or 0) if y or type(y) is float else x for x, y in zip(own, row)
+            ]
+            if any(v or type(v) is float for v in total):
                 level[s] = total
             else:
-                del level[s]
+                level.pop(s, None)
         rows.append(level)
     cocycle = c1.cocycle and c2.cocycle
     return _canonical(_cochain(c1.base, c1.degree, rows, c1.exact, cocycle, scale))
@@ -864,14 +858,13 @@ def restrict_cochain(c: DeligneCochain, sub: CoveredComplex) -> DeligneCochain:
 def reverse_cochain(c: DeligneCochain) -> DeligneCochain:
     """The same data over the orientation-reversed complex.
 
-    Values are stored against canonical vertex order, so they transfer
-    verbatim; only the top parities flip.  Cocycle conditions are computed
-    in canonical order too, hence the flag survives.
+    The reversed complex has the same simplices and each keeps its charts,
+    so the rows, stored against canonical vertex order, transfer verbatim;
+    only the top parities flip.  Cocycle conditions are computed in
+    canonical order too, hence the flag survives.
     """
     K2 = reverse_orientation(c.base.complex)
-    cov2 = attach_cover(
-        K2, c.base.num_sets, {t: c.base.admissible_of(t) for t in K2.tops}
-    )
+    cov2 = CoveredComplex(K2, c.base.num_sets, c.base.admissible)
     rows = [dict(level) for level in c._rows]
     return _cochain(cov2, c.degree, rows, c.exact, c.cocycle, c.scale)
 

@@ -34,6 +34,7 @@ from deligne import (
     load_cochain,
     random_cochain,
     restrict_cochain,
+    restrict_cover,
     reverse_cochain,
     save_cochain,
     star_cover,
@@ -389,6 +390,26 @@ def test_reverse_cochain_keeps_data_flips_complex():
     r = reverse_cochain(c)
     assert r.base.complex.orientation((0, 1, 2)) == -TRIANGLE.orientation((0, 1, 2))
     assert r.component(1, (0, 1), (0,)) == c.component(1, (0, 1), (0,))
+
+
+def test_reverse_of_a_restriction_keeps_every_component():
+    # The face (0, 2) keeps charts 0, 1, 2 on the restricted cover, more
+    # than the one top left there holds.
+    K = build_complex([(0, 1, 2), (0, 2, 3)])
+    cover = attach_cover(K, 3, {(0, 1, 2): (1, 2), (0, 2, 3): (0,)})
+    sub = restrict_cover(cover, build_complex([(0, 1, 2)]))
+    assert sub.admissible_of((0, 2)) == (0, 1, 2)
+    for p, exact in itertools.product(range(3), (True, False)):
+        c = random_cochain(cover, p, seed=3 + p, exact=exact)
+        r = restrict_cochain(c, sub)
+        rev = reverse_cochain(r)
+        assert list(rev.stored()) == list(r.stored())
+        for k, s, J in slots(sub, p):
+            assert rev.component(k, s, J) == r.component(k, s, J) == c.component(k, s, J)
+    c = random_cochain(cover, 1, seed=9, exact=True)
+    assert reverse_cochain(restrict_cochain(c, sub)).component(1, (0, 2), (1,)) == c.component(
+        1, (0, 2), (1,)
+    )
 
 
 def test_disjoint_union_cochains_carry_entries():
@@ -980,6 +1001,28 @@ def test_rows_store_every_entry_once(seed):
             got = {(k, s, J): repr(v) for k, s, J, v in c.stored()}
             assert got == {key: repr(v) for key, v in data.items()}
             assert len(c) == len(data)
+            # tensor keeps or drops each slot by the values alone, whatever
+            # else the other operand holds in the same row
+            k0, s0, _ = some[0]
+            beside = {key: 1.0 for key in slots(cover, p) if key[:2] == (k0, s0) and key != some[0]}
+            others = [zero_cochain(cover, p), made[-1], DeligneCochain(cover, p, beside, False)]
+            for d in others:
+                for a, b in ((c, d), (d, c)):
+                    got = {(k, s, J): repr(v) for k, s, J, v in tensor(a, b).stored()}
+                    assert got == {key: repr(v) for key, v in dict_tensor(a, b).items()}
+
+
+def dict_tensor(a, b):
+    """tensor by entries: a's value where b has none, else the sum, which
+    is no entry if it equals 0."""
+    out = {(k, s, J): v for k, s, J, v in a.entries()}
+    for k, s, J, v in b.entries():
+        total = out[k, s, J] + v if (k, s, J) in out else v
+        if total == 0:
+            out.pop((k, s, J), None)
+        else:
+            out[k, s, J] = total
+    return out
 
 
 def test_dense_cochain_holds_one_row_per_simplex_and_level(solid_torus):
