@@ -929,6 +929,172 @@ def test_validation_kernel_matches_the_point_evaluators(kernel_covers, name, exa
     assert report == naive_validate(broken)
 
 
+def worse(residual, top):
+    """The reports' rule for the worst residual: NaN wins and then stays."""
+    return not residual <= top and top == top
+
+
+def signed_zero_and_nan(cover, orbit):
+    """orbit's float entries through the constructor, flagged as a cocycle,
+    with -0.0 at the first level-0 slot and NaN at the first top slot."""
+    p = orbit.degree
+    keys = slots(cover, p)
+    data = {(k, s, J): v for k, s, J, v in orbit.stored()}
+    data[keys[0]] = -0.0
+    data[next(key for key in keys if key[0] == p)] = math.nan
+    return DeligneCochain(cover, p, data, exact=False, cocycle=True)
+
+
+def naive_trivialization(c, b, tol=1e-9):
+    """verify_trivialization's fields from cech_delta and discrete_d, slot
+    by slot: (lower_worst, lower_failing, top_residuals, top_spread,
+    is_trivial)."""
+    p, exact = c.degree, c.exact
+    threshold = 0 if exact else tol
+    lower_worst, lower_failing = {}, []
+    for k in range(p):
+        top = zero(exact)
+        for s in c.base.complex.simplices(k):
+            for J in c.base.multi_indices(s, p - k + 1):
+                x = cech_delta(b, s, J)
+                if k >= 1:
+                    x = x + (-1) ** (p - k) * discrete_d(b, s, J)
+                residual = abs(c.component(k, s, J) - x)
+                if worse(residual, top):
+                    top = residual
+                if not residual <= threshold:
+                    lower_failing.append(FailedCondition(k, s, J, residual))
+        lower_worst[k] = top
+    top_residuals, spread, ok = {}, zero(exact), not lower_failing
+    for s in c.base.complex.simplices(p):
+        values = [
+            c.component(p, s, (a,)) - discrete_d(b, s, (a,)) for a in c.base.admissible_of(s)
+        ]
+        top_residuals[s] = values[0]
+        for v in values:
+            if worse(abs(v - values[0]), spread):
+                spread = abs(v - values[0])
+            if not abs(v) <= threshold:
+                ok = False
+    return lower_worst, lower_failing, top_residuals, spread, ok
+
+
+def assert_same_trivialization(report, c, b):
+    exact = c.exact
+    lower_worst, lower_failing, top_residuals, spread, ok = naive_trivialization(c, b)
+    assert (report.degree, report.exact, report.is_trivial) == (c.degree, exact, ok)
+    assert list(report.lower_worst) == list(lower_worst)
+    for k, v in lower_worst.items():
+        assert same_value(report.lower_worst[k], v, exact), k
+    assert [(f.level, f.simplex, f.indices, f.witness) for f in report.lower_failing] == [
+        (f.level, f.simplex, f.indices, f.witness) for f in lower_failing
+    ]
+    for got, want in zip(report.lower_failing, lower_failing):
+        assert same_value(got.residual, want.residual, exact), want
+    assert list(report.top_residuals) == list(top_residuals)
+    for s, v in top_residuals.items():
+        assert same_value(report.top_residuals[s], v, exact), s
+    assert same_value(report.top_spread, spread, exact)
+
+
+@KERNEL_CASES
+@ARITHMETIC
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_trivialization_matches_the_point_evaluators(kernel_covers, name, exact, seed):
+    cover = kernel_covers[name]
+    p = cover.complex.dim
+    b = random_cochain(cover, p - 1, seed, exact=exact)
+    orbit = exact_shift(zero_cochain(cover, p, exact=exact), b)
+    c = random_cochain(cover, p, seed + 1, exact=exact)
+    bump = Fraction(1, 7) if exact else 0.37
+    (k, s, J), *_ = slots(cover, p)
+    broken = tensor(orbit, build_cochain(cover, p, [(k, J, s, bump)], exact=exact))
+    cases = [orbit, c, broken] + ([] if exact else [signed_zero_and_nan(cover, orbit)])
+    for x in cases:
+        assert_same_trivialization(verify_trivialization(x, b), x, b)
+    assert verify_trivialization(orbit, b).is_trivial
+
+
+def naive_chern(c, tol=1e-9):
+    """chern_cocycle's sorted entries, from rounding cech_delta / turn slot
+    by slot, or the message of its integrality error."""
+    p, exact = c.degree, c.exact
+    turn = Fraction(1) if exact else TWO_PI
+    entries = []
+    for v in c.base.complex.simplices(0):
+        for J in c.base.multi_indices(v, p + 2):
+            x = cech_delta(c, v, J)
+            if not (exact or math.isfinite(x)):
+                return f"integrality violation at {v} {J}: residual {abs(x) / turn} turns"
+            n = round(x / turn)
+            residual = abs(x - n * turn) / turn
+            if not residual <= (0 if exact else tol):
+                return f"integrality violation at {v} {J}: residual {residual} turns"
+            if n:
+                entries.append(((v, J), n))
+    return sorted(entries)
+
+
+def chern_outcome(c):
+    try:
+        return sorted(chern_cocycle(c).entries.items())
+    except CochainError as e:
+        return str(e)
+
+
+@KERNEL_CASES
+@ARITHMETIC
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_chern_cocycle_matches_the_point_evaluators(kernel_covers, name, exact, seed):
+    cover = kernel_covers[name]
+    p = cover.complex.dim
+    turn = 1 if exact else TWO_PI
+    b = random_cochain(cover, p - 1, seed, exact=exact)
+    orbit = exact_shift(zero_cochain(cover, p, exact=exact), b)
+    turns = [
+        (0, J, v, ((sum(J) + seed) % 3 - 1) * turn)
+        for v in cover.complex.simplices(0)
+        for J in cover.multi_indices(v, p + 1)
+    ]
+    cls = tensor(orbit, build_cochain(cover, p, turns, exact=exact))
+    # a level-0 slot at a vertex with integrality conditions
+    k, s, J = next(key for key in slots(cover, p) if len(cover.admissible_of(key[1])) > p + 1)
+    bump = Fraction(1, 7) if exact else 0.37
+    broken = tensor(cls, build_cochain(cover, p, [(k, J, s, bump)], exact=exact))
+    cases = [orbit, cls, broken] + ([] if exact else [signed_zero_and_nan(cover, cls)])
+    for c in cases:
+        c.cocycle = True
+        assert chern_outcome(c) == naive_chern(c)
+    assert chern_outcome(broken).startswith("integrality violation")
+
+
+@ARITHMETIC
+@pytest.mark.parametrize("depth", [0, 1])
+def test_curvature_matches_the_point_evaluator(torus2_4chart, exact, depth):
+    from deligne import (
+        cup_product, curvature_total, discretize, random_index_map, subdivide_geometry,
+        winding_function,
+    )
+
+    g = subdivide_geometry(torus2_4chart) if depth else torus2_4chart
+    cup = cup_product(
+        winding_function(torus2_4chart, 1, coord=0), winding_function(torus2_4chart, 2, coord=1)
+    )
+    c = discretize(cup, geometry=g, exact=exact)
+    K = c.base.complex
+    for seed in range(3):
+        rho = random_index_map(c.base, seed)
+        cv = curvature_total(c, rho)
+        assert list(cv.per_simplex) == list(K.tops)
+        want = {t: K.orientation(t) * discrete_d(c, t, (rho(t),)) for t in K.tops}
+        for t in K.tops:
+            assert same_value(cv.per_simplex[t], want[t], exact), t
+        assert same_value(cv.total, reference_sum(list(want.values()), exact), exact)
+        assert cv.multiple == 2 and not cv.residual > (0 if exact else 1e-9)
+
+
 # -- row storage --------------------------------------------------------------
 
 

@@ -19,7 +19,9 @@ arithmetic, operation):
   torsion class raises at the sphere's poles, and is digested by its
   exception), and ``discretize`` in both arithmetics of the cup product
   of two winding functions, around the first and the last periodic
-  coordinate;
+  coordinate, and ``curvature_total`` of each cup product under the
+  default and a random index map (the geometries whose dimension or
+  boundary rules it out are digested by their exception);
 - geometries and covers: the chart cover of every shipped geometry, the
   chart cover of ``torus2-4chart`` subdivided once, the star covers of
   ``annulus``, ``torus2-4chart``, ``solid-torus`` and ``torus3-8chart``,
@@ -97,8 +99,11 @@ def geometry_digests():
     from deligne import (
         GEOMETRY_BUILDERS,
         cup_product,
+        curvature_total,
+        default_index_map,
         discretize,
         monopole,
+        random_index_map,
         subdivide_geometry,
         torsion_class,
         winding_function,
@@ -128,9 +133,20 @@ def geometry_digests():
             )
             for kind, make in classes.items():
                 for exact in (True, False):
-                    yield f"{label} discretize {kind} {'rational' if exact else 'float'}", digest(
-                        outcome(lambda: list(discretize(make(), geometry=g, exact=exact).entries()))
+                    tag = f"{kind} {'rational' if exact else 'float'}"
+                    c = outcome(lambda: discretize(make(), geometry=g, exact=exact))
+                    yield f"{label} discretize {tag}", digest(
+                        c if isinstance(c, str) else list(c.entries())
                     )
+                    if kind != "cup" or isinstance(c, str):
+                        continue
+                    for which, rho in (
+                        ("default", default_index_map(c.base)),
+                        ("random", random_index_map(c.base, SEEDS[0])),
+                    ):
+                        yield f"{label} curvature_total {tag} {which}", digest(
+                            outcome(lambda: curvature_total(c, rho))
+                        )
 
 
 def integer_turns(cover, degree: int, exact: bool):
