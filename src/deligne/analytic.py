@@ -109,13 +109,6 @@ def expr_scale(e: FormExpr, factor: Scalar, angle_add: int = 0) -> FormExpr:
     )
 
 
-def expr_sum(*exprs: FormExpr) -> FormExpr:
-    out: List[FormTerm] = []
-    for e in exprs:
-        out.extend(e)
-    return tuple(out)
-
-
 def turn_normalized_product(a: FormExpr, b: FormExpr) -> FormExpr:
     """Product of two angle-valued factors, divided by one full turn.
 

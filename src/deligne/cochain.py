@@ -10,11 +10,14 @@ repeated charts give 0.
 
 The two differentials are the Čech delta (alternating omission of chart
 indices) and the discrete exterior d (incidence-weighted sum over facets).
-The cocycle conditions use the fixed sign convention
+They make up the total differential D, which takes a cochain X of degree
+q to one of degree q + 1 under the fixed sign convention
 
-    delta C^k = (-1)^(p-k) * d C^(k-1)    for k = 1..p,
+    (D X)^k = delta X^k + (-1)^(q+1-k) * d X^(k-1)    for k = 0..q+1,
 
-with level 0 replaced by integrality: delta C^0 must land in 2*pi*Z.
+a term being left out where its level is.  A degree-p cochain C is a
+cocycle when (D C)^k = 0 for k = 1..p and (D C)^0 = delta C^0 lies in
+2*pi*Z; (D C)^(p+1) = d C^p is its curvature.
 
 Storage is one value row per (k, s) that holds an entry: a list of the
 values of C^k at the canonical k-simplex s over the multi-indices
@@ -26,20 +29,23 @@ per entry; :func:`_slot` maps a sorted multi-index to its slot when a
 single value is wanted.  A row is never changed in place once a cochain
 holds it, so cochains may share rows.
 
-Whole-cochain passes (validation, the gauge move, trivialization and
-Chern class extraction) evaluate both differentials with one per-simplex
-kernel that reads rows: dropping one index from an increasing multi-index
-keeps it increasing, and the facets of a canonical simplex are canonical,
-so no key is ever sorted or looked up.  For a k-simplex s with m
-admissible charts and multi-indices J of length n, the values of X^k over
-the (n-1)-subsets of the charts are s's own row, followed by their
+Whole-cochain passes read D from one per-simplex kernel that yields a
+level of Y + D X, simplex by simplex: the gauge move c + D b, validation
+D C, trivialization c - D b, Chern class extraction (D C)^0 and the
+closedness of its integers, and the curvature (D C)^(p+1).  The kernel
+reads rows: dropping one index from an increasing multi-index keeps it
+increasing, and the facets of a canonical simplex are canonical, so no
+key is ever sorted or looked up.  For a k-simplex s with m admissible
+charts and multi-indices J of length n, the values of X^k over the
+(n-1)-subsets of the charts are s's own row, followed by their
 negations.  An omission template for (m, n), built once per pass, has one
 row per J: an itemgetter that picks the terms (-1)^j X(J without J[j]), so
-(delta X)(s, J) is the sum of one template row.  (d Y^(k-1))(s, J) reads
+(delta X)(s, J) is the sum of one template row.  (d X^(k-1))(s, J) reads
 each facet's row as a column: the slots of s's n-subsets among the
 facet's, found once per pass for each pattern of s's chart positions
-among the facet's charts.  The columns are summed row by row.  ``cech_delta`` and ``discrete_d`` evaluate one
-slot term by term.
+among the facet's charts.  The columns are summed row by row.
+``cech_delta`` and ``discrete_d`` evaluate one slot term by term; they
+are the references the kernel is tested against.
 
 An exact cochain stores Python-int numerators over one ``scale``, the lcm
 of its entries' reduced denominators, and every operation returns that
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb, gcd, isfinite, lcm
 from operator import add, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -365,12 +371,6 @@ def _unscaled(x: Scalar, scale: int, exact: bool) -> Scalar:
     return Fraction(x, scale) if exact else x
 
 
-def _residual(gap: Scalar, scale: int, exact: bool) -> Scalar:
-    """|gap| from kernel units; exact mode builds a Fraction only if nonzero."""
-    r = abs(gap)
-    return Fraction(r, scale) if exact and r else r
-
-
 def _omissions(m: int, n: int) -> List[itemgetter]:
     """The Čech delta's template for m charts and multi-indices of length
     n >= 2: row r belongs to the r-th n-subset J of range(m) in
@@ -399,25 +399,26 @@ def _picks(pattern: Tuple[int, Tuple[int, ...]], n: int) -> Tuple[int, ...]:
     return tuple(_slot(wider, J) for J in combinations(positions, n))
 
 
-def _coboundaries(
-    base: CoveredComplex,
-    k: int,
-    n: int,
-    xv: Optional[Level],
-    yv: Optional[Level],
-    exact: bool,
-) -> Iterator[Tuple[Simplex, Tuple[int, ...], Optional[List[Scalar]], Optional[List[Scalar]]]]:
-    """Kernel: (s, charts, delta, d) for each canonical k-simplex s with at
-    least n admissible charts.
+def _differential(
+    base: CoveredComplex, xs: Rows, k: int, exact: bool, ys: Optional[Level] = None
+) -> Iterator[Tuple[Simplex, Tuple[int, ...], List[Scalar]]]:
+    """Kernel: (s, charts, values) for each canonical k-simplex s with at
+    least n admissible charts, where values[r] is level k of Y + D X at the
+    r-th multi-index ``combinations(charts, n)``.
 
-    The multi-indices of s are ``combinations(charts, n)``; delta[r] =
-    (delta X^k)(s, J_r) over X's level-k rows ``xv`` and d[r] =
-    (d Y^(k-1))(s, J_r) over Y's level-(k-1) rows ``yv``, each None where
-    its rows are.  X's terms are s's own row, and each delta is one sum of
-    a template row over them; Y's terms are each facet's row, read through
-    the facet's picks.  Every sum takes its terms in the order of the
-    alternating and the facet sum.  Templates and picks live as long as
-    the generator."""
+    X has degree q = len(xs) - 1 and the rows ``xs``, so n = q - k + 2; Y
+    has the level-k rows ``ys``, and is left out when ``ys`` is None.  Each
+    value is (Y + delta X^k) +- d X^(k-1), in that order, each term left
+    out where its level is.  delta's terms are s's own row, and each delta
+    is one sum of a template row over them; d's terms are each facet's row,
+    read through the facet's picks.  Every sum takes its terms in the order
+    of the alternating and the facet sum.  Templates and picks live as long
+    as the generator."""
+    q = len(xs) - 1
+    n = q - k + 2
+    xv = xs[k] if k <= q else None
+    yv = xs[k - 1] if k >= 1 else None
+    odd = (q + 1 - k) & 1
     z = 0 if exact else 0.0  # the sum of terms that are all int 0
     templates: Dict[int, List[itemgetter]] = {}
     picks: Dict[Tuple[int, Tuple[int, ...]], Tuple[int, ...]] = {}
@@ -427,7 +428,7 @@ def _coboundaries(
         if m < n:
             continue
         N = comb(m, n)
-        delta = d = None
+        values = None if ys is None else ys.get(s) or [0] * N
         if xv is not None:
             row = xv.get(s)
             if row is None:
@@ -438,6 +439,7 @@ def _coboundaries(
                 if rows is None:
                     rows = templates[m] = _omissions(m, n)
                 delta = group_sums([t(terms) for t in rows], exact)
+            values = delta if values is None else [v + x for v, x in zip(values, delta)]
         if yv is not None:
             zeros = [0] * N
             columns = []
@@ -458,7 +460,13 @@ def _coboundaries(
                 d = [z] * N
             else:
                 d = group_sums(zip(*columns), exact)
-        yield s, charts, delta, d
+            if values is None:  # k = q + 1, where d has the sign +
+                values = d
+            elif odd:
+                values = [v - y for v, y in zip(values, d)]
+            else:
+                values = [v + y for v, y in zip(values, d)]
+        yield s, charts, values
 
 
 def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
@@ -514,14 +522,15 @@ def discrete_d(c: DeligneCochain, sigma: Sequence[int], indices: Sequence[int]) 
 def _nearest_turns(
     delta: List[Scalar], scale: int, exact: bool
 ) -> Optional[List[Tuple[Optional[int], Scalar]]]:
-    """(n, |x / turn - n|) for each kernel level-0 value x of one simplex:
-    the nearest whole turn and the residual in turns.  None in exact mode
-    when one pass of ``x % scale`` finds every x a whole number of turns.
+    """(n, x / turn - n) for each kernel level-0 value x of one simplex:
+    the nearest whole turn and the gap to it in kernel units, whose size
+    over ``scale`` is the residual in turns.  None in exact mode when one
+    pass of ``x % scale`` finds every x a whole number of turns.
 
     Exact mode reads x as turns over ``scale`` and rounds half to even, as
-    round() does on a Fraction; the residual is 0 or a Fraction.  Float
-    mode has the arithmetic of ``integer_residual``, then divides by 2pi;
-    a non-finite x has no nearest n and keeps its size as the residual.
+    round() does on a Fraction.  Float mode has the arithmetic of
+    ``integer_residual``, then divides by 2pi; a non-finite x has no
+    nearest n and keeps its size.
     """
     out = []
     if exact:
@@ -531,14 +540,14 @@ def _nearest_turns(
             n, r = divmod(x, scale)
             if 2 * r > scale or (2 * r == scale and n % 2):
                 n += 1
-            out.append((n, _residual(x - n * scale, scale, exact)))
+            out.append((n, x - n * scale))
         return out
     for x in delta:
         if isfinite(x):
             n = round(x / TWO_PI)
-            out.append((n, abs(x - n * TWO_PI) / TWO_PI))
+            out.append((n, (x - n * TWO_PI) / TWO_PI))
         else:
-            out.append((None, abs(x) / TWO_PI))
+            out.append((None, x / TWO_PI))
     return out
 
 
@@ -574,7 +583,7 @@ class CocycleReport:
 
 
 def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
-    """Check integrality at level 0 and the sign-fixed gluing at k = 1..p.
+    """Check D C: integrality of (D C)^0 and (D C)^k = 0 for k = 1..p.
 
     In exact mode the residual threshold is zero regardless of ``tol``.
     Passing sets the cochain's ``cocycle`` flag; failing clears it.
@@ -585,42 +594,29 @@ def validate_cocycle(c: DeligneCochain, tol: float = 1e-9) -> CocycleReport:
     worst: Dict[int, Scalar] = {}
     checked: Dict[int, int] = {}
     failing: List[FailedCondition] = []
-
-    # Level 0 residuals are measured in turns: |delta C^0 / 2pi - n|.
-    count = 0
-    top = zero(exact)
-    for v, charts, delta, _ in _coboundaries(c.base, 0, p + 2, rows[0], None, exact):
-        count += len(delta)
-        turns = _nearest_turns(delta, scale, exact)
-        if turns is None:  # every condition holds exactly
-            continue
-        for J, (n, residual) in zip(combinations(charts, p + 2), turns):
-            if not residual:  # neither the worst nor a breach
-                continue
-            if _worse(residual, top):
-                top = residual
-            if exceeds(residual, tol, exact):
-                failing.append(FailedCondition(0, v, J, residual, n))
-    worst[0] = top
-    checked[0] = count
-
-    for k in range(1, p + 1):
+    for k in range(p + 1):
         count = 0
-        top = zero(exact)
-        sign = (-1) ** (p - k)
-        n = p - k + 2
-        for s, charts, delta, d in _coboundaries(c.base, k, n, rows[k], rows[k - 1], exact):
-            count += len(delta)
-            for J, x, y in zip(combinations(charts, n), delta, d):
-                gap = x - sign * y
-                if not gap:
+        top = 0 if exact else 0.0  # the worst |gap|, in kernel units
+        for s, charts, gaps in _differential(c.base, rows, k, exact):
+            count += len(gaps)
+            if not any(gaps):  # every condition holds exactly
+                continue
+            witnesses = repeat(None)
+            if k == 0:  # residuals in turns: |delta C^0 / 2pi - n|
+                turns = _nearest_turns(gaps, scale, exact)
+                if turns is None:  # every condition holds exactly
                     continue
-                residual = _residual(gap, scale, exact)
+                witnesses, gaps = zip(*turns)
+            for J, n, gap in zip(combinations(charts, p - k + 2), witnesses, gaps):
+                if not gap:  # neither the worst nor a breach
+                    continue
+                residual = abs(gap)
                 if _worse(residual, top):
                     top = residual
                 if exceeds(residual, tol, exact):
-                    failing.append(FailedCondition(k, s, J, residual))
-        worst[k] = top
+                    residual = _unscaled(residual, scale, exact)
+                    failing.append(FailedCondition(k, s, J, residual, n))
+        worst[k] = _unscaled(top, scale, exact)
         checked[k] = count
 
     report = CocycleReport(
@@ -675,30 +671,6 @@ def dual(c: DeligneCochain) -> DeligneCochain:
     return _cochain(c.base, c.degree, rows, c.exact, c.cocycle, c.scale)
 
 
-def _shifted(
-    base: CoveredComplex, cv: Rows, bv: Rows, exact: bool, p: int, k: int
-) -> Iterator[Tuple[Simplex, Tuple[int, ...], List[Scalar]]]:
-    """Kernel: (s, charts, values) per k-simplex s with values[r] the
-    level-k entry of c + D(b) at s's r-th multi-index, from the rows of c
-    and b, with b^p treated as 0; each is (c + delta b) +- d b, in that
-    order."""
-    n = p - k + 1
-    odd = (p - k) & 1
-    own = cv[k]
-    xv = bv[k] if k < p else None
-    yv = bv[k - 1] if k >= 1 else None
-    for s, charts, delta, d in _coboundaries(base, k, n, xv, yv, exact):
-        values = own.get(s) or [0] * comb(len(charts), n)
-        if delta is not None:
-            values = [v + x for v, x in zip(values, delta)]
-        if d is not None:
-            if odd:
-                values = [v - y for v, y in zip(values, d)]
-            else:
-                values = [v + y for v, y in zip(values, d)]
-        yield s, charts, values
-
-
 def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
     """c + D(b): the gauge orbit move.  Preserves the cocycle flag."""
     _require_same_base(c, b)
@@ -709,7 +681,7 @@ def exact_shift(c: DeligneCochain, b: DeligneCochain) -> DeligneCochain:
     (cv, bv), scale = _scaled(c, b)
     rows = _no_rows(p)
     for k, level in enumerate(rows):
-        for s, _, values in _shifted(c.base, cv, bv, exact, p, k):
+        for s, _, values in _differential(c.base, bv, k, exact, cv[k]):
             row = [v or 0 for v in values]
             if any(row):
                 level[s] = row
@@ -746,33 +718,33 @@ def verify_trivialization(
     (cv, bv), scale = _scaled(c, b)
     lower_worst: Dict[int, Scalar] = {}
     lower_failing: List[FailedCondition] = []
-    for k in range(0, p):
-        top = zero(exact)
+    top_residuals: Dict[Simplex, Scalar] = {}
+    spread = zero(exact)
+    ok = True
+    for k in range(p + 1):
+        top = 0 if exact else 0.0  # the worst |gap| below the top, in kernel units
         own = cv[k]
-        for s, charts, shifted in _shifted(c.base, _no_rows(p), bv, exact, p, k):  # D(b) alone
-            row = own.get(s) or [0] * len(shifted)
-            for J, v, x in zip(combinations(charts, p - k + 1), row, shifted):
-                residual = _residual(v - x, scale, exact)
+        for s, charts, shifted in _differential(c.base, bv, k, exact):
+            gaps = [v - x for v, x in zip(own.get(s) or [0] * len(shifted), shifted)]
+            if k == p:  # one slot per chart
+                values = [_unscaled(gap, scale, exact) for gap in gaps]
+                top_residuals[s] = values[0]
+                for v in values:
+                    gap = abs(v - values[0])
+                    if _worse(gap, spread):
+                        spread = gap
+                    if exceeds(abs(v), tol, exact):
+                        ok = False
+                continue
+            for J, gap in zip(combinations(charts, p - k + 1), gaps):
+                residual = abs(gap)
                 if _worse(residual, top):
                     top = residual
                 if exceeds(residual, tol, exact):
+                    residual = _unscaled(residual, scale, exact)
                     lower_failing.append(FailedCondition(k, s, J, residual))
-        lower_worst[k] = top
-
-    top_residuals: Dict[Simplex, Scalar] = {}
-    spread = zero(exact)
-    ok = not lower_failing
-    own = cv[p]
-    for s, _, _, d in _coboundaries(c.base, p, 1, None, bv[p - 1], exact):
-        row = own.get(s) or [0] * len(d)
-        values = [_unscaled(v - y, scale, exact) for v, y in zip(row, d)]
-        top_residuals[s] = values[0]
-        for v in values:
-            gap = abs(v - values[0])
-            if _worse(gap, spread):
-                spread = gap
-            if exceeds(abs(v), tol, exact):
-                ok = False
+        if k < p:
+            lower_worst[k] = _unscaled(top, scale, exact)
     return TrivializationReport(
         degree=p,
         exact=c.exact,
@@ -781,7 +753,7 @@ def verify_trivialization(
         lower_failing=tuple(lower_failing),
         top_residuals=top_residuals,
         top_spread=spread,
-        is_trivial=ok,
+        is_trivial=ok and not lower_failing,
     )
 
 
@@ -817,14 +789,15 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
     scale = c.scale
     entries: Dict[Tuple[Simplex, MultiIndex], int] = {}
     numbers: Level = {}  # the integers as level-0 rows
-    for v, charts, delta, _ in _coboundaries(c.base, 0, p + 2, c._rows[0], None, exact):
+    for v, charts, delta in _differential(c.base, c._rows, 0, exact):
         turns = _nearest_turns(delta, scale, exact)
         if turns is None:  # whole turns x / scale, no residual
             ns = [x // scale for x in delta]
         else:
             ns = []
-            for J, (n, residual) in zip(combinations(charts, p + 2), turns):
-                if exceeds(residual, tol, exact):
+            for J, (n, gap) in zip(combinations(charts, p + 2), turns):
+                if exceeds(abs(gap), tol, exact):
+                    residual = _unscaled(abs(gap), scale, exact)
                     raise CochainError(
                         f"integrality violation at {v} {J}: residual {residual} turns"
                     )
@@ -833,7 +806,8 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
             numbers[v] = ns
             entries.update(((v, J), n) for J, n in zip(combinations(charts, p + 2), ns) if n)
     cocycle = IntegerCechCocycle(c.base, p + 2, entries)
-    for v, charts, delta, _ in _coboundaries(c.base, 0, p + 3, numbers, None, True):
+    # delta n = D n for the integers n as level 0 of a degree-(p+1) cochain
+    for v, charts, delta in _differential(c.base, [numbers, *_no_rows(p)], 0, True):
         for J, x in zip(combinations(charts, p + 3), delta):
             if x != 0:
                 raise CochainError(f"rounded cocycle is not closed at {v} {J}")

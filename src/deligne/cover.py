@@ -41,6 +41,13 @@ class CoveredComplex:
         return combinations(self.admissible_of(sigma), length)
 
 
+def _chart(a: object, what: str) -> int:
+    """``a`` if it is an int chart index; a bool, float or string is refused."""
+    if type(a) is not int:
+        raise CoverError(f"{what} must be an int, got {a!r}")
+    return a
+
+
 def attach_cover(
     K: SimplicialComplex,
     num_sets: int,
@@ -52,7 +59,7 @@ def attach_cover(
     canon: Dict[Simplex, Tuple[int, ...]] = {}
     for key, charts in tops_admissible.items():
         s, _ = sort_with_parity(tuple(key))
-        cs = tuple(sorted(set(int(a) for a in charts)))
+        cs = tuple(sorted({_chart(a, f"chart of top {s}") for a in charts}))
         if not cs:
             raise CoverError(f"top simplex {s} has an empty chart set")
         if cs[0] < 0 or cs[-1] >= num_sets:
@@ -110,7 +117,7 @@ def make_index_map(C: CoveredComplex, assignment: Mapping[Simplex, int]) -> Inde
     for k, s in C.complex.all_simplices():
         if s not in assignment:
             raise CoverError(f"index map misses simplex {s}")
-        a = int(assignment[s])
+        a = _chart(assignment[s], f"chart of {s}")
         if a not in C.admissible_of(s):
             raise CoverError(f"chart {a} is not admissible for {s}")
         table[s] = a
@@ -128,20 +135,25 @@ def random_index_map(
 ) -> IndexMap:
     """Uniform admissible pick per simplex, deterministic in the seed.
 
-    ``frozen`` pins chosen simplices to fixed charts; useful for perturbing
-    an index map away from a region that must stay put.
+    ``frozen`` pins chosen simplices, given as canonical simplices of C,
+    to fixed charts; useful for perturbing an index map away from a region
+    that must stay put.
     """
+    pins: Dict[Simplex, int] = {}
+    for s, a in (frozen or {}).items():
+        if type(s) is not tuple or not C.complex.has(s):
+            raise CoverError(f"frozen key {s!r} is not a canonical simplex of the complex")
+        a = _chart(a, f"frozen chart of {s}")
+        if a not in C.admissible_of(s):
+            raise CoverError(f"frozen chart {a} is not admissible for {s}")
+        pins[s] = a
     rng = random.Random(seed)
-    frozen = dict(frozen or {})
     table: Dict[Simplex, int] = {}
     for k, s in C.complex.all_simplices():
-        adm = C.admissible_of(s)
-        if s in frozen:
-            a = int(frozen[s])
-            if a not in adm:
-                raise CoverError(f"frozen chart {a} is not admissible for {s}")
-            table[s] = a
+        if s in pins:
+            table[s] = pins[s]
         else:
+            adm = C.admissible_of(s)
             table[s] = adm[rng.randrange(len(adm))]
     return IndexMap(table)
 

@@ -20,7 +20,7 @@ from math import isfinite
 from typing import Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from ._scalars import Scalar, exceeds, group_sums, integer_residual, wrap
-from .cochain import DeligneCochain, Term, _word_sums, discrete_d
+from .cochain import DeligneCochain, Term, _differential, _unscaled, _word_sums
 from .cover import CoveredComplex, IndexMap
 from .errors import ChartSpreadError, HolonomyError
 from .simplicial import Simplex
@@ -135,13 +135,15 @@ class CurvatureValue:
 def curvature_total(
     c: DeligneCochain, rho: IndexMap, tol: float = 1e-9
 ) -> CurvatureValue:
-    """Sum of d C^p over the tops of a closed oriented (p+1)-complex.
+    """Sum of the curvature (D C)^(p+1) = d C^p over the tops of a closed
+    oriented (p+1)-complex.
 
-    Each top contributes with its stored orientation.  The value per top
-    must not depend on which admissible chart evaluates it; a spread beyond
-    tol (any spread in exact mode) raises ChartSpreadError.  For a cocycle
-    the total is a multiple of a full turn; the nearest multiple and its
-    residual are reported, not enforced.
+    Each top contributes its value at chart rho(top), with its stored
+    orientation.  The value per top must not depend on which admissible
+    chart evaluates it; a spread beyond tol (any spread in exact mode)
+    raises ChartSpreadError.  For a cocycle the total is a multiple of a
+    full turn; the nearest multiple and its residual are reported, not
+    enforced.
     """
     K = c.base.complex
     if K.dim != c.degree + 1:
@@ -152,14 +154,14 @@ def curvature_total(
         raise HolonomyError("curvature total needs a closed oriented complex")
     check_index_map(c.base, rho)
     per: dict = {}
-    for t in K.tops:
-        values = [discrete_d(c, t, (a,)) for a in c.base.admissible_of(t)]
+    for t, charts, values in _differential(c.base, c._rows, K.dim, c.exact):
+        values = [_unscaled(x, c.scale, c.exact) for x in values]
         gaps = [abs(v - values[0]) for v in values]
         if any(exceeds(gap, tol, c.exact) for gap in gaps):
             raise ChartSpreadError(
                 f"curvature of {t} depends on the chart choice (spread {max(gaps)})"
             )
-        per[t] = K.orientation(t) * discrete_d(c, t, (rho(t),))
+        per[t] = K.orientation(t) * values[charts.index(rho(t))]
     total = group_sums([[per[t] for t in K.tops]], c.exact)[0]
     multiple, residual = integer_residual(total, c.exact)
     return CurvatureValue(total, per, multiple, residual, c.exact)

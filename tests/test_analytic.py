@@ -8,7 +8,6 @@ import pytest
 from deligne import (
     AnalyticError,
     FormTerm,
-    ZERO_EXPR,
     build_cochain,
     cech_delta,
     chern_cocycle,
@@ -18,7 +17,6 @@ from deligne import (
     discretize,
     expr_product,
     expr_scale,
-    expr_sum,
     flat_circle,
     holonomy,
     monopole,
@@ -65,8 +63,6 @@ def test_expr_scale_and_sum():
     e = (FormTerm(Fraction(1, 2), angle_power=1),)
     s = expr_scale(e, Fraction(4), angle_add=1)
     assert s[0].coeff == 2 and s[0].angle_power == 2
-    assert expr_sum(e, s) == e + s
-    assert expr_sum() == ZERO_EXPR
 
 
 def test_turn_normalized_product_units():

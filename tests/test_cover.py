@@ -134,6 +134,39 @@ def test_random_index_map_frozen_pins():
         random_index_map(C, seed=5, frozen={(0,): 3})
 
 
+def test_random_index_map_names_a_key_that_is_no_canonical_simplex():
+    C = star_cover(two_triangles())
+    with pytest.raises(CoverError, match=r"\(2, 0\)"):
+        random_index_map(C, seed=5, frozen={(2, 0): 0, (9, 9): 1})
+    with pytest.raises(CoverError, match=r"\(9, 9\)"):
+        random_index_map(C, seed=5, frozen={(0, 2): 0, (9, 9): 1})
+    with pytest.raises(CoverError, match="'0'"):
+        random_index_map(C, seed=5, frozen={"0": 0})
+
+
+@pytest.mark.parametrize("chart", [1.7, True, "3", 1.0])
+def test_attach_cover_refuses_a_chart_that_is_not_an_int(chart):
+    with pytest.raises(CoverError, match="must be an int"):
+        attach_cover(two_triangles(), 4, {(0, 1, 2): [chart, 2], (1, 2, 3): [1]})
+
+
+@pytest.mark.parametrize("chart", [1.9, True, "1", 1.0])
+def test_make_index_map_refuses_a_chart_that_is_not_an_int(chart):
+    C = attach_cover(two_triangles(), 2, {(0, 1, 2): (0, 1), (1, 2, 3): (0, 1)})
+    assignment = {s: 1 for _, s in C.complex.all_simplices()}
+    assert make_index_map(C, assignment)((0, 1)) == 1
+    with pytest.raises(CoverError, match="must be an int"):
+        make_index_map(C, {**assignment, (0, 1): chart})
+
+
+@pytest.mark.parametrize("chart", [1.9, True, "1", 1.0])
+def test_random_index_map_refuses_a_frozen_chart_that_is_not_an_int(chart):
+    C = attach_cover(two_triangles(), 2, {(0, 1, 2): (0, 1), (1, 2, 3): (0, 1)})
+    assert random_index_map(C, seed=5, frozen={(0, 1): 1})((0, 1)) == 1
+    with pytest.raises(CoverError, match="must be an int"):
+        random_index_map(C, seed=5, frozen={(0, 1): chart})
+
+
 def test_restrict_cover_and_index_map():
     K = two_triangles()
     C = star_cover(K)
