@@ -719,21 +719,19 @@ def verify_trivialization(
     lower_worst: Dict[int, Scalar] = {}
     lower_failing: List[FailedCondition] = []
     top_residuals: Dict[Simplex, Scalar] = {}
-    spread = zero(exact)
+    spread = 0 if exact else 0.0  # in kernel units, like the worst |gap| below the top
     ok = True
     for k in range(p + 1):
-        top = 0 if exact else 0.0  # the worst |gap| below the top, in kernel units
+        top = 0 if exact else 0.0
         own = cv[k]
         for s, charts, shifted in _differential(c.base, bv, k, exact):
             gaps = [v - x for v, x in zip(own.get(s) or [0] * len(shifted), shifted)]
             if k == p:  # one slot per chart
-                values = [_unscaled(gap, scale, exact) for gap in gaps]
-                top_residuals[s] = values[0]
-                for v in values:
-                    gap = abs(v - values[0])
-                    if _worse(gap, spread):
-                        spread = gap
-                    if exceeds(abs(v), tol, exact):
+                top_residuals[s] = _unscaled(gaps[0], scale, exact)
+                for gap in gaps:
+                    if _worse(abs(gap - gaps[0]), spread):
+                        spread = abs(gap - gaps[0])
+                    if exceeds(abs(gap), tol, exact):
                         ok = False
                 continue
             for J, gap in zip(combinations(charts, p - k + 1), gaps):
@@ -752,7 +750,7 @@ def verify_trivialization(
         lower_worst=lower_worst,
         lower_failing=tuple(lower_failing),
         top_residuals=top_residuals,
-        top_spread=spread,
+        top_spread=_unscaled(spread, scale, exact),
         is_trivial=ok and not lower_failing,
     )
 

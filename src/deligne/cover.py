@@ -139,21 +139,20 @@ def random_index_map(
     to fixed charts; useful for perturbing an index map away from a region
     that must stay put.
     """
-    pins: Dict[Simplex, int] = {}
-    for s, a in (frozen or {}).items():
+    frozen = dict(frozen or {})
+    for s in frozen:
         if type(s) is not tuple or not C.complex.has(s):
             raise CoverError(f"frozen key {s!r} is not a canonical simplex of the complex")
-        a = _chart(a, f"frozen chart of {s}")
-        if a not in C.admissible_of(s):
-            raise CoverError(f"frozen chart {a} is not admissible for {s}")
-        pins[s] = a
     rng = random.Random(seed)
     table: Dict[Simplex, int] = {}
     for k, s in C.complex.all_simplices():
-        if s in pins:
-            table[s] = pins[s]
+        adm = C.admissible_of(s)
+        if s in frozen:
+            a = _chart(frozen[s], f"frozen chart of {s}")
+            if a not in adm:
+                raise CoverError(f"frozen chart {a} is not admissible for {s}")
+            table[s] = a
         else:
-            adm = C.admissible_of(s)
             table[s] = adm[rng.randrange(len(adm))]
     return IndexMap(table)
 
