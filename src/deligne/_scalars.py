@@ -106,6 +106,6 @@ def group_sums(groups: Iterable[Sequence[Scalar]], exact: bool) -> List[Scalar]:
     if exact:
         return [sum(g) if g else Fraction(0) for g in groups]
     try:
-        return [fsum(g) for g in groups]
+        return list(map(fsum, groups))
     except (OverflowError, ValueError) as e:
         raise CochainError(f"float sum failed: {e}") from None

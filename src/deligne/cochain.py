@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb, gcd, isfinite, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, neg, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ._scalars import TWO_PI, Scalar, coerce, exceeds, group_sums, zero
@@ -434,12 +434,12 @@ def _differential(
             if row is None:
                 delta = [z] * N
             else:
-                terms = row + [-x for x in row]
+                terms = row + list(map(neg, row))
                 rows = templates.get(m)
                 if rows is None:
                     rows = templates[m] = _omissions(m, n)
                 delta = group_sums([t(terms) for t in rows], exact)
-            values = delta if values is None else [v + x for v, x in zip(values, delta)]
+            values = delta if values is None else list(map(add, values, delta))
         if yv is not None:
             zeros = [0] * N
             columns = []
@@ -455,17 +455,15 @@ def _differential(
                     if pick is None:
                         pick = picks[pattern] = _picks(pattern, n)
                     row = list(map(row.__getitem__, pick))
-                columns.append(row if sign > 0 else [-y for y in row])
+                columns.append(row if sign > 0 else list(map(neg, row)))
             if all(column is zeros for column in columns):
                 d = [z] * N
             else:
                 d = group_sums(zip(*columns), exact)
             if values is None:  # k = q + 1, where d has the sign +
                 values = d
-            elif odd:
-                values = [v - y for v, y in zip(values, d)]
             else:
-                values = [v + y for v, y in zip(values, d)]
+                values = list(map(sub if odd else add, values, d))
         yield s, charts, values
 
 
@@ -725,7 +723,7 @@ def verify_trivialization(
         top = 0 if exact else 0.0
         own = cv[k]
         for s, charts, shifted in _differential(c.base, bv, k, exact):
-            gaps = [v - x for v, x in zip(own.get(s) or [0] * len(shifted), shifted)]
+            gaps = list(map(sub, own.get(s) or [0] * len(shifted), shifted))
             if k == p:  # one slot per chart
                 top_residuals[s] = _unscaled(gaps[0], scale, exact)
                 for gap in gaps:
