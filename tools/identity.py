@@ -17,9 +17,12 @@ arithmetic, operation):
   torsion class of the highest degree the geometry allows, presented on
   the coarse geometry, and on the sphere of the charge-1 monopole too (the
   torsion class raises at the sphere's poles, and is digested by its
-  exception), and ``discretize`` in both arithmetics of the cup product
-  of two winding functions, around the first and the last periodic
-  coordinate, and ``curvature_total`` of each cup product under the
+  exception), ``discretize`` in both arithmetics of a degree-0 winding
+  function with offset 3/7 turn (w = 0 and w = 1) and, on the circles, of
+  ``flat_circle``, each made in the arithmetic it is discretized in, and
+  ``discretize`` in both arithmetics of the cup product of two winding
+  functions, around the first and the last periodic coordinate, and
+  ``curvature_total`` of each cup product under the
   default and a random index map (the geometries whose dimension or
   boundary rules it out are digested by their exception);
 - geometries and covers: the chart cover of every shipped geometry, the
@@ -102,6 +105,7 @@ def geometry_digests():
         curvature_total,
         default_index_map,
         discretize,
+        flat_circle,
         monopole,
         random_index_map,
         subdivide_geometry,
@@ -113,15 +117,25 @@ def geometry_digests():
         coarse = g = build()
         degree = min(sum(g.periodic), g.covered.complex.dim)
         angles = [i for i, periodic in enumerate(g.periodic) if periodic]
+        # Each class is made for the arithmetic it is discretized in.
         classes = {
-            "torsion": lambda: torsion_class(coarse, q=5, w=2, degree=degree),
-            "cup": lambda: cup_product(
+            "torsion": lambda exact: torsion_class(coarse, q=5, w=2, degree=degree),
+            "cup": lambda exact: cup_product(
                 winding_function(coarse, 1, coord=angles[0]),
                 winding_function(coarse, 2, coord=angles[-1]),
             ),
         }
+        for w in (0, 1):
+            classes[f"winding w={w} offset"] = lambda exact, w=w: winding_function(
+                coarse, w, coord=angles[0], offset="3/7" if exact else 3 / 7,
+                exact=exact,
+            )
+        if coarse.coords == ("theta",):
+            classes["flat_circle"] = lambda exact: flat_circle(
+                coarse, "1/3" if exact else 0.7, exact=exact
+            )
         if name == "sphere-octahedron-2chart":
-            classes["monopole"] = lambda: monopole(coarse, 1)
+            classes["monopole"] = lambda exact: monopole(coarse, 1)
         for depth in range(2 if name == "torus3-8chart" else 3):
             if depth:
                 g = subdivide_geometry(g)
@@ -134,7 +148,9 @@ def geometry_digests():
             for kind, make in classes.items():
                 for exact in (True, False):
                     tag = f"{kind} {'rational' if exact else 'float'}"
-                    c = outcome(lambda: discretize(make(), geometry=g, exact=exact))
+                    c = outcome(
+                        lambda: discretize(make(exact), geometry=g, exact=exact)
+                    )
                     yield f"{label} discretize {tag}", digest(
                         c if isinstance(c, str) else list(c.entries())
                     )
