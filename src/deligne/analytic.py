@@ -8,7 +8,8 @@ wedge monomial.  Everything the built-in fixtures and their cup products
 build fits this shape.  Every integrand is therefore affine on each
 simplex, and one rule integrates it exactly in both arithmetics: the
 coefficient times the pulled-back volume (determinant over k!) times the
-value of the linear factor at the simplex centroid.
+value of the linear factor at the simplex centroid.  A vertex is the case
+k = 0 of that rule, so :func:`integrate_form` serves every level.
 
 Unit bookkeeping: rational coefficients are in turn units and carry an
 explicit count of angle factors; float coefficients are already in
@@ -100,11 +101,11 @@ def expr_product(e1: FormExpr, e2: FormExpr) -> FormExpr:
     return tuple(out)
 
 
-def expr_scale(e: FormExpr, factor: Scalar, angle_add: int = 0) -> FormExpr:
+def expr_scale(e: FormExpr, factor: Scalar) -> FormExpr:
     if factor == 0:
         return ZERO_EXPR
     return tuple(
-        FormTerm(t.coeff * factor, t.angle_power + angle_add, t.linear, t.wedge)
+        FormTerm(t.coeff * factor, t.angle_power, t.linear, t.wedge)
         for t in e
     )
 
@@ -166,22 +167,6 @@ def _term_value(
 # -- evaluation and integration --------------------------------------------------
 
 
-def evaluate_scalar(
-    expr: FormExpr, geom: ChartedGeometry, v: Simplex, exact: bool
-) -> Scalar:
-    """Value of a 0-form expression at a vertex simplex."""
-    parts: List[Scalar] = []
-    for t in expr:
-        if t.wedge:
-            raise AnalyticError("a form of positive degree has no vertex value")
-        branch = (
-            1 if t.linear is None
-            else geom.vertex_value(t.linear[1], v, t.linear[0])
-        )
-        parts.append(_term_value(t, geom, branch, exact))
-    return group_sums([parts], exact)[0]
-
-
 def _rows_chart(geom: ChartedGeometry, sigma: Simplex) -> int:
     for a in sorted(geom.covered.admissible_of(sigma)):
         if geom.has_lift(a, sigma):
@@ -195,31 +180,35 @@ def integrate_form(
     sigma: Simplex,
     exact: bool,
 ) -> Scalar:
-    """Integral over a canonically oriented simplex of dimension >= 1.
+    """Integral over a canonically oriented k-simplex, k >= 0.
 
     Each term is affine in the lifts, so its integral is exact: the
     coefficient times the geometric factor det / k! * (centroid of the
-    linear factor's lift, or 1).
+    linear factor's lift, or 1).  A vertex is the case k = 0 of the same
+    rule (the empty determinant is 1, 0! = 1, and the centroid of one
+    vertex is that vertex), so a 0-form is integrated by its value there.
+    A term with no linear factor reads no lift on a vertex: its factor is
+    1 even where no chart has a branch, as at the sphere's poles.
     """
     k = len(sigma) - 1
-    if k < 1:
-        raise AnalyticError("use evaluate_scalar on vertices")
     parts: List[Scalar] = []
     for t in expr:
         if len(t.wedge) != k:
             raise AnalyticError(
                 f"a {len(t.wedge)}-form cannot be integrated over a {k}-simplex"
             )
-        chart = t.linear[1] if t.linear is not None else _rows_chart(geom, sigma)
-        rows = geom.lift(chart, sigma)
-        det = determinant(
-            [[r[c] - rows[0][c] for c in t.wedge] for r in rows[1:]]
-        )
-        if det == 0:
-            continue
-        factor = det / math.factorial(k)
-        if t.linear is not None:
-            factor *= sum(r[t.linear[0]] for r in rows) / len(rows)
+        factor = 1  # a constant on a vertex reads no lift
+        if k or t.linear is not None:
+            chart = t.linear[1] if t.linear is not None else _rows_chart(geom, sigma)
+            rows = geom.lift(chart, sigma)
+            det = determinant(
+                [[r[c] - rows[0][c] for c in t.wedge] for r in rows[1:]]
+            )
+            if det == 0:
+                continue
+            factor = det / math.factorial(k)
+            if t.linear is not None:
+                factor *= sum(r[t.linear[0]] for r in rows) / len(rows)
         parts.append(_term_value(t, geom, factor, exact))
     return group_sums([parts], exact)[0]
 
@@ -306,10 +295,7 @@ def discretize(
                 expr = rule(geom, J, s)
                 if not expr:
                     continue
-                if k == 0:
-                    val = evaluate_scalar(expr, geom, s, exact)
-                else:
-                    val = integrate_form(expr, geom, s, exact)
+                val = integrate_form(expr, geom, s, exact)
                 if val != 0:
                     entries.append((k, J, s, val))
     return build_cochain(cov, p, entries, exact=exact)
@@ -357,12 +343,7 @@ def winding_function(
         raise AnalyticError("winding functions need a periodic coordinate")
     c = coerce(offset, exact)
     rational = exact or offset == 0
-    if c == 0:
-        const: FormExpr = ZERO_EXPR
-    elif rational:
-        const = (FormTerm(c, angle_power=1),)
-    else:
-        const = (FormTerm(float(c) * TWO_PI),)
+    const = _const_term(c if exact else c * TWO_PI, exact)
 
     def comp0(g: ChartedGeometry, J, s) -> FormExpr:
         # The log branch on chart J[0].
@@ -509,9 +490,9 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
     def integer_of(g: ChartedGeometry, s: Simplex, J) -> int:
         a, b, c = J
         v = (s[0],)
-        t_bc = evaluate_scalar(comp0(g, (b, c), v), g, v, True)
-        t_ac = evaluate_scalar(comp0(g, (a, c), v), g, v, True)
-        t_ab = evaluate_scalar(comp0(g, (a, b), v), g, v, True)
+        t_bc = integrate_form(comp0(g, (b, c), v), g, v, True)
+        t_ac = integrate_form(comp0(g, (a, c), v), g, v, True)
+        t_ab = integrate_form(comp0(g, (a, b), v), g, v, True)
         m = -(t_bc - t_ac + t_ab)
         if m.denominator != 1:
             raise AnalyticError("monopole transition logs lost integrality")

@@ -10,7 +10,8 @@ repeated chart along the flag kills the term.  The same sum on a complex
 with boundary is the rho-dependent local action; the difference of two
 local actions is what the transgression module turns into boundary data.
 Both modules feed every flag sum as (sign, k, simplex, word) terms to the
-cochain module's one word kernel, after one precondition check per call.
+cochain module's one word kernel, after one precondition check per call,
+and ask ``_FlagSums`` for a local action by its index map.
 """
 
 from __future__ import annotations
@@ -86,41 +87,34 @@ class _FlagSums:
             raise self.error(f"{self.op} sum is not finite: {x}")
         return x
 
-    def action(self, levels: Sequence[Scalar]) -> HolonomyValue:
-        """The local action from its level sums, codimension 0 first."""
-        c = self.c
-        counts = [len(c.base.complex.flags(c.degree - n)) for n in range(len(levels))]
+    def action(self, rho: IndexMap) -> HolonomyValue:
+        """The local action under rho, from one flag sum per codimension
+        n = 0..p."""
+        c, K = self.c, self.c.base.complex
+
+        def words(k: int) -> Iterator[Term]:
+            for flag in K.flags(k):
+                yield flag.sign, k, flag.chain[-1], tuple(map(rho, flag.chain))
+
+        levels = self(*(words(c.degree - n) for n in range(c.degree + 1)))
+        counts = [len(K.flags(c.degree - n)) for n in range(c.degree + 1)]
         raw = self.finite(group_sums([levels], c.exact)[0])
-        level_sums = tuple(map(LevelSum, range(len(levels)), levels, counts))
+        level_sums = tuple(map(LevelSum, range(c.degree + 1), levels, counts))
         return HolonomyValue(raw, wrap(raw, c.exact), level_sums, sum(counts), c.exact)
 
-    def difference(self, levels: Sequence[Scalar]) -> Scalar:
-        """The local action of the first half of the levels minus the second's."""
-        n = len(levels) // 2
-        return self.finite(self.action(levels[:n]).raw - self.action(levels[n:]).raw)
-
-
-def _action_words(c: DeligneCochain, rho: IndexMap) -> List[Iterator[Term]]:
-    """The local action's term groups, one per codimension n = 0..p."""
-    K = c.base.complex
-
-    def words(k: int) -> Iterator[Term]:
-        for flag in K.flags(k):
-            yield flag.sign, k, flag.chain[-1], tuple(map(rho, flag.chain))
-
-    return [words(c.degree - n) for n in range(c.degree + 1)]
+    def difference(self, rho0: IndexMap, rho1: IndexMap) -> Scalar:
+        """The local action under rho1 minus the one under rho0."""
+        return self.finite(self.action(rho1).raw - self.action(rho0).raw)
 
 
 def holonomy(c: DeligneCochain, rho: IndexMap) -> HolonomyValue:
     """Holonomy over a closed oriented complex of dimension exactly p."""
-    sums = _FlagSums(c, (rho,), "holonomy", HolonomyError, closed=True)
-    return sums.action(sums(*_action_words(c, rho)))
+    return _FlagSums(c, (rho,), "holonomy", HolonomyError, closed=True).action(rho)
 
 
 def local_action(c: DeligneCochain, rho: IndexMap) -> HolonomyValue:
     """The same flag sum on a with-boundary complex; rho-dependent."""
-    sums = _FlagSums(c, (rho,), "local action", HolonomyError)
-    return sums.action(sums(*_action_words(c, rho)))
+    return _FlagSums(c, (rho,), "local action", HolonomyError).action(rho)
 
 
 @dataclass(frozen=True)

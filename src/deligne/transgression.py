@@ -14,7 +14,9 @@ telescopes to zero on the nose, while the same mixed-word sum built from
 the boundary surface's own flags lands in 2*pi*Z; that integer is the
 degree-3 descent cocycle on the boundary, and the explicit edge/vertex
 word sum evaluates the same angle mod 2*pi.  Every formula here generates
-(sign, k, simplex, word) terms for the cochain module's word kernel.
+(sign, k, simplex, word) terms for the cochain module's word kernel, and
+each route asks ``_FlagSums`` for a local action, or the difference of
+two, by index map.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ._scalars import Scalar, exceeds, integer_residual, wrap, wrap_distance
 from .cochain import DeligneCochain, Term
 from .cover import IndexMap
 from .errors import TransgressionError, TransitionToleranceError
-from .holonomy import _action_words, _FlagSums
+from .holonomy import _FlagSums
 from .simplicial import Flag, SimplicialComplex, boundary_restrict, facets_of
 
 
@@ -48,7 +50,7 @@ def transition_general(
 ) -> TransitionValue:
     """local_action(rho1) - local_action(rho0); the defining difference."""
     sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
-    raw = sums.difference(sums(*_action_words(c, rho1), *_action_words(c, rho0)))
+    raw = sums.difference(rho0, rho1)
     return TransitionValue(raw=raw, angle=wrap(raw, c.exact), exact=c.exact, route="general")
 
 
@@ -131,13 +133,10 @@ def transition_p2_boundary(
     sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
     K = c.base.complex
     _, interior = _split_flags(K, 2)
-    raw, i_sum, *levels = sums(
-        _edge_vertex_words(K, rho0, rho1),
-        _mixed_words(interior, rho0, rho1),
-        *_action_words(c, rho1),
-        *_action_words(c, rho0),
+    raw, i_sum = sums(
+        _edge_vertex_words(K, rho0, rho1), _mixed_words(interior, rho0, rho1)
     )
-    agreement = wrap_distance(raw, sums.difference(levels), c.exact)
+    agreement = wrap_distance(raw, sums.difference(rho0, rho1), c.exact)
     if exceeds(agreement, tol, c.exact):
         raise TransitionToleranceError(
             f"boundary formula disagrees with the defining difference by {agreement}"
@@ -193,17 +192,13 @@ def transgress_p3_triple(
     # Below their tops, K's boundary flags are the boundary surface's own
     # flags with the same signs, so nothing needs restricting to the surface.
     boundary, _ = _split_flags(K, 3)
-    values = sums(
-        *_action_words(c, rho0),
-        *_action_words(c, rho1),
-        *_action_words(c, rho2),
+    a0, a1, a2 = (sums.action(rho).raw for rho in (rho0, rho1, rho2))
+    s01, s12, s02, display = sums(
         _mixed_words(boundary, rho0, rho1),
         _mixed_words(boundary, rho1, rho2),
         _mixed_words(boundary, rho0, rho2),
         _display_words(boundary_restrict(K), rho0, rho1, rho2),
     )
-    a0, a1, a2 = (sums.action(values[i:i + 4]).raw for i in (0, 4, 8))
-    s01, s12, s02, display = values[12:]
     telescoped = sums.finite((a1 - a0) + (a2 - a1) - (a2 - a0))
     combo = sums.finite(s01 + s12 - s02)
     witness, residual = integer_residual(combo, c.exact)

@@ -19,6 +19,7 @@ from deligne import (
     expr_scale,
     flat_circle,
     holonomy,
+    integrate_form,
     monopole,
     random_index_map,
     restrict_cochain,
@@ -61,8 +62,34 @@ def test_expr_product_refuses_quadratic_terms():
 
 def test_expr_scale_and_sum():
     e = (FormTerm(Fraction(1, 2), angle_power=1),)
-    s = expr_scale(e, Fraction(4), angle_add=1)
-    assert s[0].coeff == 2 and s[0].angle_power == 2
+    s = expr_scale(e, Fraction(4))
+    assert s[0].coeff == 2 and s[0].angle_power == 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("name", ["torus2_4chart", "sphere_octahedron_2chart"])
+def test_integrate_form_reads_a_vertex_as_its_zero_simplex_case(request, name, exact):
+    g = request.getfixturevalue(name)
+    # A rational coefficient in turns carries its one turn factor; a float
+    # one is in radians, and theta (coordinate 0) is a lift in turns.
+    coeff = Fraction(3, 7) if exact else 0.6
+    unit = 1 if exact else TWO_PI
+    const = (FormTerm(coeff, angle_power=1 if exact else 0),)
+    branchless = 0
+    for v in g.covered.complex.simplices(0):
+        assert integrate_form(const, g, v, exact) == coeff
+        charts = [a for a in g.covered.admissible_of(v) if g.has_lift(a, v)]
+        branchless += not charts
+        for a in charts:
+            linear = (FormTerm(coeff, linear=(0, a)),)
+            branch = g.vertex_value(a, v, 0)
+            assert integrate_form(linear, g, v, exact) == coeff * unit * (
+                branch if exact else float(branch)
+            )
+        with pytest.raises(AnalyticError, match="1-form"):
+            integrate_form((FormTerm(coeff, wedge=(0,)),), g, v, exact)
+    # The sphere's two poles have no branch of theta in any chart.
+    assert branchless == (2 if name == "sphere_octahedron_2chart" else 0)
 
 
 def test_turn_normalized_product_units():
