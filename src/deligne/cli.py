@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -548,6 +549,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0 <= args.tolerance < math.inf:
+            raise _UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     except _UsageError as e:
         print(f"deligne: {e}", file=sys.stderr)
         return 1

@@ -761,7 +761,6 @@ class IntegerCechCocycle:
     """Integer Čech cocycle of multi-index length p+2 on the vertex set."""
 
     base: CoveredComplex
-    length: int
     entries: Mapping[Tuple[Simplex, MultiIndex], int] = field(default_factory=dict)
 
     def value(self, v: Sequence[int], indices: Sequence[int]) -> int:
@@ -801,7 +800,7 @@ def chern_cocycle(c: DeligneCochain, tol: float = 1e-9) -> IntegerCechCocycle:
         if any(ns):
             numbers[v] = ns
             entries.update(((v, J), n) for J, n in zip(combinations(charts, p + 2), ns) if n)
-    cocycle = IntegerCechCocycle(c.base, p + 2, entries)
+    cocycle = IntegerCechCocycle(c.base, entries)
     # delta n = D n for the integers n as level 0 of a degree-(p+1) cochain
     for v, charts, delta in _differential(c.base, [numbers, *_no_rows(p)], 0, True):
         for J, x in zip(combinations(charts, p + 3), delta):

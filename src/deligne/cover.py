@@ -42,7 +42,8 @@ class CoveredComplex:
 
 
 def _chart(a: object, what: str) -> int:
-    """``a`` if it is an int chart index; a bool, float or string is refused."""
+    """``a`` if it is an int (a chart index or count); a bool, float or string
+    is refused."""
     if type(a) is not int:
         raise CoverError(f"{what} must be an int, got {a!r}")
     return a
@@ -54,7 +55,7 @@ def attach_cover(
     tops_admissible: Mapping[Tuple[int, ...], Iterable[int]],
 ) -> CoveredComplex:
     """Attach a cover given per-top chart sets; faces get the union rule."""
-    if num_sets < 1:
+    if _chart(num_sets, "num_sets") < 1:
         raise CoverError("a cover needs at least one set")
     canon: Dict[Simplex, Tuple[int, ...]] = {}
     for key, charts in tops_admissible.items():

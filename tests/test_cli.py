@@ -581,6 +581,17 @@ def test_missing_input_file(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf", "-1", "-1e-12", "tiny"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, tolerance):
+    # The files do not exist: the tolerance is refused before any is read.
+    argv = ["validate", "no.json", "no.json", "no.json", f"--tolerance={tolerance}"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert "--tolerance" in err and "no.json" not in err
+    code, _, err = run(capsys, *argv[:-1], "--tolerance=0")
+    assert code == 1 and "no.json" in err
+
+
 def test_malformed_json_input(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")

@@ -150,6 +150,12 @@ def test_attach_cover_refuses_a_chart_that_is_not_an_int(chart):
         attach_cover(two_triangles(), 4, {(0, 1, 2): [chart, 2], (1, 2, 3): [1]})
 
 
+@pytest.mark.parametrize("num_sets", [2.5, True, "4", 4.0])
+def test_attach_cover_refuses_a_num_sets_that_is_not_an_int(num_sets):
+    with pytest.raises(CoverError, match="num_sets must be an int"):
+        attach_cover(two_triangles(), num_sets, {(0, 1, 2): [0], (1, 2, 3): [0]})
+
+
 @pytest.mark.parametrize("chart", [1.9, True, "1", 1.0])
 def test_make_index_map_refuses_a_chart_that_is_not_an_int(chart):
     C = attach_cover(two_triangles(), 2, {(0, 1, 2): (0, 1), (1, 2, 3): (0, 1)})
