@@ -35,12 +35,13 @@ arithmetic, operation):
   random non-cocycle), ``verify_trivialization`` (of both by the same
   shift data), ``chern_cocycle`` and ``holonomy`` (``local_action`` on a
   complex with boundary) of the orbit plus a class with integer
-  transition turns, and every flag-sum route on that class:
+  transition turns, under the default index map and the random ones of
+  both ``SEEDS``, and every flag-sum route on that class:
   ``transition_general``, ``transition_boundary`` and
-  ``transition_p2_boundary`` between the default and a random index map,
-  and ``transgress_p3_triple`` of those two and a second random one
-  (the routes a degree or a closed complex rules out are digested by
-  their exception);
+  ``transition_p2_boundary`` between the default and the first random
+  index map and between the two random ones, and
+  ``transgress_p3_triple`` of all three (the routes a degree or a closed
+  complex rules out are digested by their exception);
 - io: the bytes ``save_cochain`` writes for the shift data, the random
   cochain, the orbit and the integer-turn class, ``entries()`` and
   ``scale`` after ``load_cochain`` of each, and the outcome of loading
@@ -278,19 +279,22 @@ def digests(workdir: str):
                 outcome(lambda: sorted(chern_cocycle(cls).entries.items()))
             )
             flag_sum = holonomy if cover.complex.closed else local_action
-
-            def value():
-                v = flag_sum(cls, default_index_map(cover))
-                return v.raw, v.angle, v.levels, v.flag_count
-
-            yield f"{label} holonomy", digest(outcome(value))
             rho0, rho1, rho2 = (
                 default_index_map(cover), *(random_index_map(cover, s) for s in SEEDS)
             )
-            for route in (transition_general, transition_boundary, transition_p2_boundary):
-                yield f"{label} {route.__name__}", digest(
-                    outcome(lambda: route(cls, rho0, rho1))
-                )
+            routes = (transition_general, transition_boundary, transition_p2_boundary)
+            for which, rho in (("", rho0), (" random", rho1), (" random 2", rho2)):
+
+                def value():
+                    v = flag_sum(cls, rho)
+                    return v.raw, v.angle, v.levels, v.flag_count
+
+                yield f"{label} holonomy{which}", digest(outcome(value))
+            for which, (r0, r1) in (("", (rho0, rho1)), (" random", (rho1, rho2))):
+                for route in routes:
+                    yield f"{label} {route.__name__}{which}", digest(
+                        outcome(lambda: route(cls, r0, r1))
+                    )
             yield f"{label} transgress_p3_triple", digest(
                 outcome(lambda: transgress_p3_triple(cls, rho0, rho1, rho2))
             )
