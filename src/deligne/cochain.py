@@ -55,8 +55,10 @@ only for a value handed out or a nonzero residual.  Float mode stores
 floats over scale 1 and sums each row with one math.fsum, which rounds
 the exact sum of its terms once.  A row holds the same multiset of terms
 as the term-by-term evaluators, in the same order, so float results are
-bit-identical to theirs.  The flag sums' word kernel sums its terms the
-same way, with one parity sort per chart word.
+bit-identical to theirs.  The flag sums' word kernel pairs a cochain with
+an integer chain {(simplex, chart word): count}: one parity sort per key,
+and the value enters its group |count| times, so a float group still
+rounds the exact sum of one term per flag once.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ MultiIndex = Tuple[int, ...]
 Key = Tuple[int, Simplex, MultiIndex]
 Level = Dict[Simplex, List]  # s -> its row of one level
 Rows = List[Level]  # one Level per k = 0..p
-Term = Tuple[int, int, Simplex, Sequence[int]]  # (sign, k, simplex, chart word)
+Chain = Dict[Tuple[Simplex, Tuple[int, ...]], int]  # (simplex, chart word) -> count
 
 
 class DeligneCochain:
@@ -467,23 +469,23 @@ def _differential(
         yield s, charts, values
 
 
-def _word_sums(c: DeligneCochain, *groups: Iterable[Term]) -> List[Scalar]:
-    """Kernel: per group of (sign, k, s, word) terms with s canonical and the
-    word in any order, the sum of sign * C^k(s, word) in c's scalar type.
-    All groups read the stored values over c's scale; a term of 0 leaves
-    every sum as it is and is skipped."""
+def _word_sums(c: DeligneCochain, *chains: Chain) -> List[Scalar]:
+    """Kernel: per chain {(s, word): count} with s canonical and the word in
+    any order, the sum of count * C^k(s, word), k = dim s, in c's scalar
+    type; each value enters |count| times, and a value of 0 is skipped."""
     exact, scale, rows, charts = c.exact, c.scale, c._rows, c.base.admissible_of
     outs = []
-    for terms in groups:
+    for chain in chains:
         out = []
-        for sign, k, s, word in terms:
-            row = rows[k].get(s)
+        for (s, word), n in chain.items():
+            row = rows[len(s) - 1].get(s)
             if row is None:
                 continue
             idx, parity = parity_sort(word)
-            slot = _slot(charts(s), idx) if parity else None
+            slot = _slot(charts(s), idx)  # None for a repeated chart
             if slot is not None and row[slot]:
-                out.append(sign * parity * row[slot])
+                x = row[slot]
+                out += [x if parity * n > 0 else -x] * abs(n)
         outs.append(out)
     return [_unscaled(x, scale, exact) for x in group_sums(outs, exact)]
 

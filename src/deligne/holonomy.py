@@ -6,25 +6,28 @@ flag contributes
     sign(flag) * C^(p-n)(sigma^(p-n), (rho(sigma^p), ..., rho(sigma^(p-n))))
 
 with the multi-index evaluated through the alternating convention, so a
-repeated chart along the flag kills the term.  The same sum on a complex
-with boundary is the rho-dependent local action; the difference of two
-local actions is what the transgression module turns into boundary data.
-Both modules feed every flag sum as (sign, k, simplex, word) terms to the
-cochain module's one word kernel, after one precondition check per call,
-and ask ``_FlagSums`` for a local action by its index map.
+repeated chart along the flag kills the term.  Flags that end at one
+simplex with one chart word give one term, so the sum pairs C with an
+integer chain {(simplex, word): count} that only the complex and rho fix
+(Bott & Tu, *Differential Forms in Algebraic Topology*, §§8–9).
+``_walk`` builds it down the face poset from the tops; under several
+index maps it builds the transgression module's mixed words.  The flag
+census is counted: a d-simplex has (d+1)!/(q+1)! chains to dimension q.
+The same sum on a complex with boundary is the rho-dependent local
+action, and every route asks ``_FlagSums`` for its sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
-from typing import Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from math import factorial, isfinite
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 from ._scalars import Scalar, exceeds, group_sums, integer_residual, wrap
-from .cochain import DeligneCochain, Term, _differential, _unscaled, _word_sums
+from .cochain import Chain, DeligneCochain, _differential, _unscaled, _word_sums
 from .cover import CoveredComplex, IndexMap
 from .errors import ChartSpreadError, HolonomyError
-from .simplicial import Simplex
+from .simplicial import Simplex, SimplicialComplex, facets_of
 
 
 class LevelSum(NamedTuple):
@@ -56,11 +59,49 @@ def check_index_map(C: CoveredComplex, rho: IndexMap) -> None:
             raise HolonomyError(f"index map picks inadmissible chart {a} for {s}")
 
 
+def _flag_count(tops: int, d: int, q: int) -> int:
+    """The number of descending chains from ``tops`` d-simplices down to
+    dimension q: (d+1)!/(q+1)! for each."""
+    return tops * factorial(d + 1) // factorial(q + 1)
+
+
+def _walk(K: SimplicialComplex, maps: Sequence[IndexMap], top: bool = True) -> List[Chain]:
+    """The chains of K's flags under ``maps``, one per dimension from the
+    tops down.  A word reads maps[0] along the flag, from the top if
+    ``top`` is set and from its facet otherwise; at each simplex below the
+    top it may move on to the next map, appending that chart too and
+    taking the sign (-1)^(new length).  A step carries counts to the
+    facets times the incidence signs.  Words that repeat a chart, zero
+    counts, and words short of the last map are left out of the chains."""
+    last = len(maps) - 1
+    level: Chain = {(t, (maps[0](t),) if top else ()): K.orientation(t) for t in K.tops}
+    base = int(top)  # the length of a word still on maps[0]
+    chains = []
+    for q in range(K.dim, -1, -1):
+        if q < K.dim:
+            below: Chain = {}
+            for (s, word), n in level.items():
+                for tau, inc in facets_of(s):
+                    w, m = word, inc * n
+                    for rho in maps[len(word) - base:]:
+                        a = rho(tau)
+                        if a in w:
+                            break
+                        w += (a,)
+                        below[tau, w] = below.get((tau, w), 0) + m
+                        m = m if len(w) & 1 else -m
+            level = {key: n for key, n in below.items() if n}
+            base += 1
+        chains.append({key: n for key, n in level.items() if len(key[1]) == base + last})
+    return chains
+
+
 class _FlagSums:
     """The flag sums of one public call.  The constructor is the one
     precondition path (cocycle flag, dimension, oriented pseudomanifold,
-    closedness on request, every index map), raising ``error`` naming ``op``;
-    every sum handed back passes :meth:`finite`."""
+    closedness on request, every index map, finite float data: a chain
+    merges terms, so a NaN could cancel unseen), raising ``error`` naming
+    ``op``.  Sums combined outside the kernel pass :meth:`finite`."""
 
     def __init__(
         self, c: DeligneCochain, rhos: Sequence[IndexMap], op: str, error: type,
@@ -77,10 +118,10 @@ class _FlagSums:
             raise error(f"{op} needs a closed complex; use local_action")
         for rho in rhos:
             check_index_map(c.base, rho)
+        if not (c.exact or all(all(map(isfinite, row)) for level in c._rows
+                               for row in level.values())):
+            raise error(f"{op} needs finite data; a stored value is not finite")
         self.c, self.op, self.error = c, op, error
-
-    def __call__(self, *groups: Iterable[Term]) -> List[Scalar]:
-        return [self.finite(x) for x in _word_sums(self.c, *groups)]
 
     def finite(self, x: Scalar) -> Scalar:
         if not (self.c.exact or isfinite(x)):
@@ -88,23 +129,14 @@ class _FlagSums:
         return x
 
     def action(self, rho: IndexMap) -> HolonomyValue:
-        """The local action under rho, from one flag sum per codimension
+        """The local action under rho, from one chain per codimension
         n = 0..p."""
         c, K = self.c, self.c.base.complex
-
-        def words(k: int) -> Iterator[Term]:
-            for flag in K.flags(k):
-                yield flag.sign, k, flag.chain[-1], tuple(map(rho, flag.chain))
-
-        levels = self(*(words(c.degree - n) for n in range(c.degree + 1)))
-        counts = [len(K.flags(c.degree - n)) for n in range(c.degree + 1)]
-        raw = self.finite(group_sums([levels], c.exact)[0])
+        levels = _word_sums(c, *_walk(K, (rho,)))
+        counts = [_flag_count(len(K.tops), K.dim, K.dim - n) for n in range(K.dim + 1)]
+        raw = group_sums([levels], c.exact)[0]
         level_sums = tuple(map(LevelSum, range(c.degree + 1), levels, counts))
         return HolonomyValue(raw, wrap(raw, c.exact), level_sums, sum(counts), c.exact)
-
-    def difference(self, rho0: IndexMap, rho1: IndexMap) -> Scalar:
-        """The local action under rho1 minus the one under rho0."""
-        return self.finite(self.action(rho1).raw - self.action(rho0).raw)
 
 
 def holonomy(c: DeligneCochain, rho: IndexMap) -> HolonomyValue:

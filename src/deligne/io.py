@@ -43,17 +43,11 @@ from ._scalars import RATIONAL, Scalar
 from .cochain import DeligneCochain, _build
 from .cover import CoveredComplex, IndexMap, attach_cover, make_index_map
 from .errors import DeligneError
-from .simplicial import Simplex, SimplicialComplex, build_complex
+from .simplicial import MAX_TOP_VERTICES, Simplex, SimplicialComplex, build_complex
 
 
 class SchemaError(DeligneError):
     """An artifact file does not match its schema."""
-
-
-# Most vertices a top simplex of a complex file may have.  One top on n
-# vertices has 2^n faces and n! flags, so the cap is checked before the
-# complex is built; 8 allows every dimension up to 7.
-MAX_TOP_VERTICES = 8
 
 
 # -- canonical serialization -----------------------------------------------------

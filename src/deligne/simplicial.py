@@ -222,17 +222,30 @@ class SimplicialComplex:
         return f"SimplicialComplex(dim={self.dim}, counts=[{counts}])"
 
 
+# Most vertices a top simplex may have.  One top on n vertices has 2^n - 1
+# faces and n! flags, so the cap is checked before any face is built; 8
+# allows every dimension up to 7.
+MAX_TOP_VERTICES = 8
+
+
 def build_complex(tops: Iterable[Sequence[int]]) -> SimplicialComplex:
     """Build a complex from oriented top simplices.
 
-    Each top is a tuple of distinct integer labels; tuple order fixes its
-    orientation.  Two tops with the same vertex set are rejected even if
-    their orientations differ.
+    Each top is a tuple of distinct integer labels, at most
+    ``MAX_TOP_VERTICES`` of them; tuple order fixes its orientation.  Two
+    tops with the same vertex set are rejected even if their orientations
+    differ.
     """
     canonical: List[Simplex] = []
     orient: Dict[Simplex, int] = {}
     for t in tops:
-        s, parity = sort_with_parity(tuple(t))
+        t = tuple(t)
+        if len(t) > MAX_TOP_VERTICES:
+            raise ComplexError(
+                f"a top simplex has {len(t)} vertices; at most "
+                f"{MAX_TOP_VERTICES} are allowed"
+            )
+        s, parity = sort_with_parity(t)
         if s in orient:
             raise ComplexError(f"duplicate top simplex {s}")
         canonical.append(s)

@@ -4,32 +4,33 @@ Two index maps on a with-boundary complex give two local actions; their
 difference is the transition function.  The boundary route computes the
 same angle from mixed-index words along flags: for a flag reaching
 codimension n, the word puts rho0 on the chain from sigma^(p-1) down to
-sigma^(p-r) and rho1 from sigma^(p-r) down to sigma^(p-n), summed over r
-with alternating sign.  Interior facets cancel pairwise, so only flags
-through boundary facets survive; the census in the result shows exactly
-that.
+sigma^(p-r) and rho1 from sigma^(p-r) down to sigma^(p-n), with sign
+(-1)^(r+1), for r = 1..n.  These words are the holonomy module's walk
+under (rho0, rho1), started below the tops.  The two tops at an interior
+facet sign it oppositely and leave the same words below it, so the chain
+keeps only flags through boundary facets: the interior sum is zero before
+any cochain is read, and the census counts the flags of each kind.  On a
+surface the chain is the edge/vertex formula of ``transition_p2_boundary``.
 
 For p = 3 the composition G(rho0,rho1) + G(rho1,rho2) - G(rho0,rho2)
-telescopes to zero on the nose, while the same mixed-word sum built from
-the boundary surface's own flags lands in 2*pi*Z; that integer is the
-degree-3 descent cocycle on the boundary, and the explicit edge/vertex
-word sum evaluates the same angle mod 2*pi.  Every formula here generates
-(sign, k, simplex, word) terms for the cochain module's word kernel, and
-each route asks ``_FlagSums`` for a local action, or the difference of
-two, by index map.
+telescopes to zero on the nose, while the same composition of mixed
+chains, which live on the boundary surface, lands in 2*pi*Z; that integer
+is the degree-3 descent cocycle on the boundary.  The explicit edge/vertex
+word sum, the walk under all three maps on the boundary surface, evaluates
+the same angle mod 2*pi.  Every route asks ``_FlagSums`` for its sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
-from ._scalars import Scalar, exceeds, integer_residual, wrap, wrap_distance
-from .cochain import DeligneCochain, Term
+from ._scalars import Scalar, exceeds, integer_residual, wrap, wrap_distance, zero
+from .cochain import Chain, DeligneCochain, _word_sums
 from .cover import IndexMap
 from .errors import TransgressionError, TransitionToleranceError
-from .holonomy import _FlagSums
-from .simplicial import Flag, SimplicialComplex, boundary_restrict, facets_of
+from .holonomy import _FlagSums, _flag_count, _walk
+from .simplicial import SimplicialComplex, boundary_restrict
 
 
 @dataclass(frozen=True)
@@ -50,31 +51,14 @@ def transition_general(
 ) -> TransitionValue:
     """local_action(rho1) - local_action(rho0); the defining difference."""
     sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
-    raw = sums.difference(rho0, rho1)
+    raw = sums.finite(sums.action(rho1).raw - sums.action(rho0).raw)
     return TransitionValue(raw=raw, angle=wrap(raw, c.exact), exact=c.exact, route="general")
 
 
-def _mixed_words(
-    flags: Sequence[Flag], rho0: IndexMap, rho1: IndexMap
-) -> Iterator[Term]:
-    """Along each flag's chain below its top, for r = 1..n: rho0 on the first
-    r simplices, rho1 on the last n - r + 1, sign (-1)^(r+1)."""
-    for flag in flags:
-        chain = flag.chain[1:]
-        target = chain[-1]
-        k = len(target) - 1
-        a = tuple(map(rho0, chain))
-        b = tuple(map(rho1, chain))
-        for r in range(1, len(chain) + 1):
-            yield (-1) ** (r + 1) * flag.sign, k, target, a[:r] + b[r - 1:]
-
-
-def _split_flags(K: SimplicialComplex, p: int) -> Tuple[List[Flag], List[Flag]]:
-    """Flags reaching codimension >= 1, as (boundary, interior) by whether
-    the codimension-1 simplex is a boundary facet."""
-    flags = [flag for n in range(1, p + 1) for flag in K.flags(p - n)]
-    boundary = [flag for flag in flags if flag.chain[1] in K.boundary_facets]
-    return boundary, [flag for flag in flags if flag.chain[1] not in K.boundary_facets]
+def _mixed_chain(K: SimplicialComplex, *maps: IndexMap) -> Chain:
+    """The mixed words of ``maps`` along K's flags below the tops, every
+    dimension in one chain."""
+    return {key: n for level in _walk(K, maps, top=False) for key, n in level.items()}
 
 
 def transition_boundary(
@@ -82,38 +66,26 @@ def transition_boundary(
 ) -> TransitionValue:
     """The mixed-word flag formula, with a boundary/interior census.
 
-    A flag is counted as boundary when its codimension-1 simplex is a
-    boundary facet.  Interior contributions cancel pairwise and are
-    reported so the cancellation is visible, not assumed.
+    A flag below a top is counted as boundary when its codimension-1
+    simplex is a boundary facet.  Interior flags cancel pairwise in the
+    chain itself, so the interior sum is the typed zero and the census
+    only counts them.
     """
-    sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
-    boundary, interior = _split_flags(c.base.complex, c.degree)
-    b_sum, i_sum = sums(
-        _mixed_words(boundary, rho0, rho1), _mixed_words(interior, rho0, rho1)
-    )
-    raw = sums.finite(b_sum + i_sum)
+    _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
+    K, p = c.base.complex, c.degree
+    (raw,) = _word_sums(c, _mixed_chain(K, rho0, rho1))
+    below = sum(_flag_count(len(K.tops), p, q) for q in range(p))
+    boundary = sum(_flag_count(len(K.boundary_facets), p - 1, q) for q in range(p))
     return TransitionValue(
         raw=raw,
         angle=wrap(raw, c.exact),
         exact=c.exact,
         route="boundary",
-        boundary_sum=b_sum,
-        interior_sum=i_sum,
-        boundary_flags=len(boundary),
-        interior_flags=len(interior),
+        boundary_sum=raw,
+        interior_sum=zero(c.exact),
+        boundary_flags=boundary,
+        interior_flags=below - boundary,
     )
-
-
-def _edge_vertex_words(
-    K: SimplicialComplex, rho0: IndexMap, rho1: IndexMap
-) -> Iterator[Term]:
-    """transition_p2_boundary's words over boundary edges and their vertices."""
-    for e, s_e in sorted(K.boundary_facets.items()):
-        yield s_e, 1, e, (rho0(e), rho1(e))
-        for v, inc in facets_of(e):
-            sign = s_e * inc
-            yield -sign, 0, v, (rho0(e), rho0(v), rho1(v))
-            yield sign, 0, v, (rho0(e), rho1(e), rho1(v))
 
 
 def transition_p2_boundary(
@@ -124,32 +96,23 @@ def transition_p2_boundary(
     Per boundary edge e with induced orientation s_e the angle picks up
     s_e * C^1(e, (rho0(e), rho1(e))), and per vertex v of e the two words
     -C^0(v, (rho0(e), rho0(v), rho1(v))) + C^0(v, (rho0(e), rho1(e), rho1(v)))
-    weighted by s_e times the edge-vertex incidence.  Agreement with
-    transition_general is asserted; the interior residual of the full flag
-    formula is reported alongside.
+    weighted by s_e times the edge-vertex incidence.  These are exactly the
+    words of the boundary route's chain on a surface, so this is that
+    route, with boundary edges counted in place of boundary flags.
+    Agreement with transition_general is asserted.
     """
     if c.degree != 2:
         raise TransgressionError("the edge/vertex transition formula needs p = 2")
-    sums = _FlagSums(c, (rho0, rho1), "transition", TransgressionError)
-    K = c.base.complex
-    _, interior = _split_flags(K, 2)
-    raw, i_sum = sums(
-        _edge_vertex_words(K, rho0, rho1), _mixed_words(interior, rho0, rho1)
-    )
-    agreement = wrap_distance(raw, sums.difference(rho0, rho1), c.exact)
+    value = transition_boundary(c, rho0, rho1)
+    agreement = wrap_distance(value.raw, transition_general(c, rho0, rho1).raw, c.exact)
     if exceeds(agreement, tol, c.exact):
         raise TransitionToleranceError(
             f"boundary formula disagrees with the defining difference by {agreement}"
         )
-    return TransitionValue(
-        raw=raw,
-        angle=wrap(raw, c.exact),
-        exact=c.exact,
+    return replace(
+        value,
         route="p2-boundary",
-        boundary_sum=raw,
-        interior_sum=i_sum,
-        boundary_flags=len(K.boundary_facets),
-        interior_flags=len(interior),
+        boundary_flags=len(c.base.complex.boundary_facets),
         agreement_residual=agreement,
     )
 
@@ -176,11 +139,12 @@ def transgress_p3_triple(
     """Degree-3 descent data on the boundary of a 3-complex.
 
     Route (a): composing defining differences telescopes to zero; reported
-    as a consistency value.  Route (b): the mixed-word sum over the closed
-    boundary surface's own flags, composed over the three index-map pairs,
-    lands in 2*pi*Z; its integer is the descent cocycle value.  The
-    explicit edge/vertex word sum from the same descent computation is
-    evaluated independently and must agree mod 2*pi.
+    as a consistency value.  Route (b): the mixed chains of the three
+    index-map pairs, which keep only flags through boundary facets and so
+    live on the closed boundary surface, composed, land in 2*pi*Z; the
+    integer is the descent cocycle value.  The explicit edge/vertex words,
+    the walk under all three maps on the boundary surface, must agree mod
+    2*pi; that surface is closed, so they cancel to the zero chain.
     """
     if c.degree != 3:
         raise TransgressionError("triple transgression needs p = 3")
@@ -189,14 +153,12 @@ def transgress_p3_triple(
     if not K.boundary_facets:
         raise TransgressionError("triple transgression needs a nonempty boundary")
 
-    # Below their tops, K's boundary flags are the boundary surface's own
-    # flags with the same signs, so nothing needs restricting to the surface.
-    boundary, _ = _split_flags(K, 3)
     a0, a1, a2 = (sums.action(rho).raw for rho in (rho0, rho1, rho2))
-    s01, s12, s02, display = sums(
-        _mixed_words(boundary, rho0, rho1),
-        _mixed_words(boundary, rho1, rho2),
-        _mixed_words(boundary, rho0, rho2),
+    s01, s12, s02, display = _word_sums(
+        c,
+        _mixed_chain(K, rho0, rho1),
+        _mixed_chain(K, rho1, rho2),
+        _mixed_chain(K, rho0, rho2),
         _display_words(boundary_restrict(K), rho0, rho1, rho2),
     )
     telescoped = sums.finite((a1 - a0) + (a2 - a1) - (a2 - a0))
@@ -224,20 +186,12 @@ def transgress_p3_triple(
     )
 
 
-def _display_words(
-    S: SimplicialComplex, r0: IndexMap, r1: IndexMap, r2: IndexMap
-) -> Iterator[Term]:
+def _display_words(S: SimplicialComplex, r0: IndexMap, r1: IndexMap, r2: IndexMap) -> Chain:
     """The written-out degree-3 descent words over (face, edge[, vertex]).
 
     Per flag b > e: -C^1(e, (r0(e), r1(e), r2(e))).  Per flag b > e > v:
     -C^0(v, (r0(e), r0(v), r1(v), r2(v))) + C^0(v, (r0(e), r1(e), r1(v), r2(v)))
-    - C^0(v, (r0(e), r1(e), r2(e), r2(v))).
+    - C^0(v, (r0(e), r1(e), r2(e), r2(v))).  These are the mixed words of
+    the three maps along S's flags below its faces.
     """
-    for flag in S.flags(1):
-        e = flag.chain[-1]
-        yield -flag.sign, 1, e, (r0(e), r1(e), r2(e))
-    for flag in S.flags(0):
-        _, e, v = flag.chain
-        yield -flag.sign, 0, v, (r0(e), r0(v), r1(v), r2(v))
-        yield flag.sign, 0, v, (r0(e), r1(e), r1(v), r2(v))
-        yield -flag.sign, 0, v, (r0(e), r1(e), r2(e), r2(v))
+    return _mixed_chain(S, r0, r1, r2)

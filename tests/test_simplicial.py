@@ -89,6 +89,15 @@ def test_duplicate_top_rejected():
         build_complex([(0, 1, 2), (2, 1, 0)])
 
 
+def test_build_complex_caps_the_vertices_of_a_top():
+    # 2^64 faces: refused before any face is built.
+    for n in (9, 64):
+        with pytest.raises(ComplexError, match="at most 8"):
+            build_complex([tuple(range(n))])
+    K = build_complex([tuple(range(8))])
+    assert K.dim == 7 and len(K.simplices(3)) == math.comb(8, 4)
+
+
 def test_mixed_dimension_rejected():
     with pytest.raises(ComplexError):
         build_complex([(0, 1, 2), (3, 4)])

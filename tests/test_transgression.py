@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deligne import (
+    GEOMETRY_BUILDERS,
     DeligneCochain,
     HolonomyError,
     TransgressionError,
+    attach_cover,
+    build_complex,
+    default_index_map,
     exact_shift,
     get_geometry,
     holonomy,
@@ -18,17 +22,20 @@ from deligne import (
     random_index_map,
     restrict_cover_to_boundary,
     star_cover,
+    subdivide_geometry,
     transgress_p3_triple,
     transition_boundary,
     transition_general,
     transition_p2_boundary,
     zero_cochain,
 )
+from deligne.holonomy import _walk
 from deligne.transgression import _display_words
 from deligne.cochain import _word_sums, restrict_cochain
 from deligne.cover import restrict_index_map
 
 from oracles import (
+    naive_chains,
     naive_local_levels,
     naive_transition,
     p2_boundary_words,
@@ -332,3 +339,107 @@ def test_non_finite_data_raises_in_every_flag_sum(name):
     for error, entry_point, n_maps in calls:
         with pytest.raises(error, match="not finite"):
             entry_point(c, *maps[:n_maps])
+
+
+@pytest.mark.parametrize("name", ["annulus", "solid-torus"])
+@pytest.mark.parametrize("every", [False, True], ids=["one slot", "every slot"])
+def test_non_finite_interior_edge_raises_in_every_flag_sum(name, every):
+    C = star_cover(get_geometry(name).covered.complex)
+    K = C.complex
+    p = K.dim
+    e = next(
+        e for e in K.simplices(1)
+        if not any(set(e) <= set(f) for f in K.boundary_facets)
+    )
+    data = {(k, s, J): v for k, s, J, v in orbit(C, p, seed=24, exact=False).entries()}
+    slots = list(C.multi_indices(e, p))
+    for J in slots if every else slots[:1]:
+        data[1, e, J] = math.nan
+    c = DeligneCochain(C, p, data, False, True)
+    maps = [random_index_map(C, seed=s) for s in (64, 65, 66)]
+    special = transition_p2_boundary if p == 2 else transgress_p3_triple
+    calls = [
+        (HolonomyError, local_action, 1),
+        (TransgressionError, transition_general, 2),
+        (TransgressionError, transition_boundary, 2),
+        (TransgressionError, special, p),
+    ]
+    for error, entry_point, n_maps in calls:
+        with pytest.raises(error, match="not finite"):
+            entry_point(c, *maps[:n_maps])
+
+
+# -- the face-poset walk against the flag definition -------------------------------
+
+
+def flag_words(K, maps, top):
+    """Per dimension from the top down, the word counts of K's flags read
+    one by one: rho along the whole flag (one map, top), or for r = 1..n
+    maps[0] on the first r simplices below the top and maps[1] from the
+    r-th on, sign (-1)^(r+1) (two maps).  Words that repeat a chart and
+    zero counts are dropped."""
+    out = []
+    for q in range(K.dim, -1, -1):
+        counts = {}
+        for chain, sign in naive_chains(K, q):
+            if top:
+                terms = [(sign, tuple(map(maps[0], chain)))]
+            else:
+                a, b = (tuple(map(rho, chain[1:])) for rho in maps)
+                terms = [
+                    ((-1) ** (r + 1) * sign, a[:r] + b[r - 1:])
+                    for r in range(1, len(a) + 1)
+                ]
+            for n, word in terms:
+                if len(set(word)) == len(word):
+                    key = chain[-1], word
+                    counts[key] = counts.get(key, 0) + n
+        out.append({key: n for key, n in counts.items() if n})
+    return out
+
+
+def walk_cover(name):
+    if name == "tetrahedron":
+        tet = build_complex([(0, 1, 2, 3)])
+        return attach_cover(tet, 12, {(0, 1, 2, 3): range(12)})
+    return star_cover(get_geometry(name).covered.complex)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", ["annulus", "solid-torus", "torus2-4chart", "tetrahedron"])
+def test_walk_matches_the_flag_definition(name, seed):
+    C = walk_cover(name)
+    K = C.complex
+    r0, r1 = (random_index_map(C, seed=seed + i) for i in (0, 10))
+    assert _walk(K, (r0,)) == flag_words(K, (r0,), top=True)
+    mixed = _walk(K, (r0, r1), top=False)
+    assert mixed == flag_words(K, (r0, r1), top=False)
+    # Interior facets cancel: only a boundary leaves mixed words.
+    assert mixed[0] == {} and any(mixed) == bool(K.boundary_facets)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("name", list(GEOMETRY_BUILDERS))
+def test_flag_census_counts_the_flags(name, depth):
+    g = get_geometry(name)
+    if depth:
+        g = subdivide_geometry(g)
+    K = g.covered.complex
+    p = K.dim
+    flags = [len(K.flags(q)) for q in range(p + 1)]
+    facets = K.boundary_facets
+    boundary = sum(f.chain[1] in facets for q in range(p) for f in K.flags(q))
+    interior = sum(flags[:p]) - boundary
+    for C in (g.covered, star_cover(K)):
+        c = zero_cochain(C, p, exact=True)
+        rho = default_index_map(C)
+        value = (holonomy if K.closed else local_action)(c, rho)
+        assert [level.flags for level in value.levels] == flags[::-1]
+        assert value.flag_count == sum(flags)
+        if K.closed:
+            continue
+        v = transition_boundary(c, rho, rho)
+        assert (v.boundary_flags, v.interior_flags) == (boundary, interior)
+        if p == 2:
+            v = transition_p2_boundary(c, rho, rho)
+            assert (v.boundary_flags, v.interior_flags) == (len(facets), interior)
