@@ -52,10 +52,10 @@ from .io import (
 )
 from .simplicial import barycentric_subdivide
 from .transgression import (
+    _p2_boundary,
     transgress_p3_triple,
     transition_boundary,
     transition_general,
-    transition_p2_boundary,
 )
 
 
@@ -396,7 +396,7 @@ def _cmd_transgress(args, report: dict) -> None:
     report["boundary"] = _transition_dict(boundary)
     report["agreement_residual"] = scalar_to_json(residual)
     if args.boundary_formula:
-        special = transition_p2_boundary(c, rho0, rho1, tol=args.tolerance)
+        special = _p2_boundary(c, boundary, general, args.tolerance)
         report["boundary_formula"] = _transition_dict(special)
     if exceeds(residual, args.tolerance, c.exact):
         raise ToleranceError("boundary route disagrees with the general route")

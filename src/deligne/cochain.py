@@ -412,10 +412,10 @@ def _differential(
     has the level-k rows ``ys``, and is left out when ``ys`` is None.  Each
     value is (Y + delta X^k) +- d X^(k-1), in that order, each term left
     out where its level is.  delta's terms are s's own row, and each delta
-    is one sum of a template row over them; d's terms are each facet's row,
-    read through the facet's picks.  Every sum takes its terms in the order
-    of the alternating and the facet sum.  Templates and picks live as long
-    as the generator."""
+    is one sum of a template row over them; d's terms are the rows of the
+    facets in the face table, read through their picks.  Every sum takes
+    its terms in the order of the alternating and the facet sum.
+    Templates and picks live as long as the generator."""
     q = len(xs) - 1
     n = q - k + 2
     xv = xs[k] if k <= q else None
@@ -445,7 +445,7 @@ def _differential(
         if yv is not None:
             zeros = [0] * N
             columns = []
-            for f, sign in facets_of(s):
+            for f, sign in base.complex.facets(s):
                 row = yv.get(f)
                 if row is None:
                     columns.append(zeros)

@@ -76,13 +76,20 @@ def attach_cover(
     if extra:
         raise CoverError(f"cover assigns charts to non-top simplex {extra[0]}")
 
-    admissible: Dict[Simplex, set] = {}
-    for t in K.tops:
-        for k in range(len(t)):
-            for face in combinations(t, k + 1):
-                admissible.setdefault(face, set()).update(canon[t])
-    table = {s: tuple(sorted(v)) for s, v in admissible.items()}
-    return CoveredComplex(K, num_sets, table)
+    # Down the face table: a face takes its cofacets' charts and the place of
+    # the first top containing it, where its lexicographically first cofacet
+    # lies; ties go in (dimension, lexicographic) order.
+    charts = {t: set(canon[t]) for t in K.tops}
+    first = {t: i for i, t in enumerate(K.tops)}
+    for k in range(K.dim, 0, -1):
+        for s in K.simplices(k):
+            for f, _ in K.facets(s):
+                if f in charts:
+                    charts[f] |= charts[s]
+                else:
+                    charts[f], first[f] = set(charts[s]), first[s]
+    order = sorted((s for _, s in K.all_simplices()), key=first.__getitem__)
+    return CoveredComplex(K, num_sets, {s: tuple(sorted(charts[s])) for s in order})
 
 
 def star_cover(K: SimplicialComplex) -> CoveredComplex:

@@ -27,7 +27,7 @@ from ._scalars import Scalar, exceeds, group_sums, integer_residual, wrap
 from .cochain import Chain, DeligneCochain, _differential, _unscaled, _word_sums
 from .cover import CoveredComplex, IndexMap
 from .errors import ChartSpreadError, HolonomyError
-from .simplicial import Simplex, SimplicialComplex, facets_of
+from .simplicial import Simplex, SimplicialComplex
 
 
 class LevelSum(NamedTuple):
@@ -71,8 +71,8 @@ def _walk(K: SimplicialComplex, maps: Sequence[IndexMap], top: bool = True) -> L
     ``top`` is set and from its facet otherwise; at each simplex below the
     top it may move on to the next map, appending that chart too and
     taking the sign (-1)^(new length).  A step carries counts to the
-    facets times the incidence signs.  Words that repeat a chart, zero
-    counts, and words short of the last map are left out of the chains."""
+    facets in K's face table times the incidence signs.  Words that repeat
+    a chart, zero counts, and words short of the last map are left out."""
     last = len(maps) - 1
     level: Chain = {(t, (maps[0](t),) if top else ()): K.orientation(t) for t in K.tops}
     base = int(top)  # the length of a word still on maps[0]
@@ -81,7 +81,7 @@ def _walk(K: SimplicialComplex, maps: Sequence[IndexMap], top: bool = True) -> L
         if q < K.dim:
             below: Chain = {}
             for (s, word), n in level.items():
-                for tau, inc in facets_of(s):
+                for tau, inc in K.facets(s):
                     w, m = word, inc * n
                     for rho in maps[len(word) - base:]:
                         a = rho(tau)

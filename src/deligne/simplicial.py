@@ -2,29 +2,42 @@
 
 A complex is built from its top-dimensional simplices, each given as a
 tuple of integer vertex labels whose order fixes its orientation.  All
-simplices are stored canonically (vertices ascending) together with a
+simplices are stored canonically (vertices ascending); a top keeps a
 parity in {+1, -1} recording how the given orientation compares with the
-canonical one.  Faces derived from tops carry parity +1; orientation of a
-face only ever matters when it is a top of its own complex, e.g. after
+canonical one, and a lower face reads +1.  Orientation of a face only
+ever matters when it is a top of its own complex, e.g. after
 :func:`boundary_restrict`, which installs the induced parities.
 
 Incidence numbers between canonical simplices follow the standard rule
 inc(sigma, tau) = (-1)^j where j is the position of the omitted vertex in
-sigma.  A flag sign is the product of the top's parity with the incidence
-numbers along the chain; flag enumeration is lexicographic and cached, so
-sums over flags are deterministic.
+sigma (:func:`facets_of`).  One face table, built from the tops down,
+holds each simplex's facets as the level below's own objects.  A flag
+sign is the product of the top's parity with the incidence numbers along
+the chain; flag enumeration is lexicographic and cached, so sums over
+flags are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import lt
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import ComplexError
 
 Simplex = Tuple[int, ...]
+
+# Most vertices a top simplex may have.  One top on n vertices has 2^n - 1
+# faces and n! flags, so the cap is checked before any face is built; 8
+# allows every dimension up to 7.
+MAX_TOP_VERTICES = 8
+
+# _SIGNS[n]: the incidences of an n-vertex simplex's facets in ``combinations``
+# order, which omits position n - 1 first; a vertex has none.
+_SIGNS = ((), ()) + tuple(
+    tuple((-1) ** j for j in range(n - 1, -1, -1)) for n in range(2, MAX_TOP_VERTICES + 1)
+)
 
 
 def parity_sort(items: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -69,12 +82,10 @@ def facets_of(sigma: Simplex) -> Tuple[Tuple[Simplex, int], ...]:
     """Facets of a canonical simplex with incidence signs, in lex order.
 
     Omitting position j contributes (-1)^j; omitting later positions gives
-    lexicographically earlier facets, hence the reversed loop.
+    lexicographically earlier facets, as ``combinations`` lists them.  A
+    vertex has no facets.
     """
-    n = len(sigma)
-    return tuple(
-        (sigma[:j] + sigma[j + 1:], (-1) ** j) for j in range(n - 1, -1, -1)
-    )
+    return tuple(zip(combinations(sigma, len(sigma) - 1), _SIGNS[len(sigma)]))
 
 
 class Flag(NamedTuple):
@@ -101,24 +112,23 @@ class SimplicialComplex:
         else:
             self.dim = -1
 
-        seen = {}
         for t in tops:
-            if t in seen:
+            if t in self._orient:
                 raise ComplexError(f"duplicate top simplex {t}")
-            seen[t] = True
-
-        levels: Dict[int, set] = {k: set() for k in range(self.dim + 1)}
-        for t in tops:
-            for k in range(len(t)):
-                for face in combinations(t, k + 1):
-                    levels[k].add(face)
-        for k in range(self.dim + 1):
-            self._by_dim[k] = tuple(sorted(levels[k]))
-        for k in range(self.dim + 1):
-            for s in self._by_dim[k]:
-                self._orient[s] = 1
-        for t in tops:
             self._orient[t] = orient[t]
+
+        # The face table, from the tops down: each level is the facets of
+        # the level above, and each simplex keeps its own.
+        self._facets: Dict[Simplex, Tuple[Simplex, ...]] = {}
+        level: Iterable[Simplex] = tops
+        for k in range(self.dim, 0, -1):
+            below: Dict[Simplex, Simplex] = {}
+            for s in level:
+                self._facets[s] = tuple([below.setdefault(f, f) for f in combinations(s, k)])
+            self._by_dim[k] = tuple(sorted(level))
+            level = below
+        self._facets.update(dict.fromkeys(level, ()))
+        self._by_dim[0] = tuple(sorted(level))
 
         self.tops: Tuple[Simplex, ...] = self._by_dim.get(self.dim, ())
         self._analyze_boundary()
@@ -134,9 +144,10 @@ class SimplicialComplex:
             self.closed = self.dim == 0
             return
         incident: Dict[Simplex, List[int]] = {}
+        facets, signs = self._facets, _SIGNS[self.dim + 1]
         for t in self.tops:
             ot = self._orient[t]
-            for tau, inc in facets_of(t):
+            for tau, inc in zip(facets[t], signs):
                 incident.setdefault(tau, []).append(ot * inc)
         defects = []
         for tau in self._by_dim[self.dim - 1]:
@@ -167,15 +178,22 @@ class SimplicialComplex:
                 yield k, s
 
     def has(self, sigma: Simplex) -> bool:
-        k = len(sigma) - 1
-        return 0 <= k <= self.dim and sigma in self._orient
+        return sigma in self._facets
 
     def orientation(self, sigma: Simplex) -> int:
-        """Stored parity of a canonical simplex; tops may carry -1."""
-        try:
-            return self._orient[sigma]
-        except KeyError:
+        """Stored parity of a canonical simplex; tops may carry -1, and
+        every lower face reads +1."""
+        if sigma not in self._facets:
             raise ComplexError(f"{sigma} is not a simplex of this complex")
+        return self._orient.get(sigma, 1)
+
+    def facets(self, sigma: Simplex) -> Iterator[Tuple[Simplex, int]]:
+        """The (facet, incidence) pairs of ``facets_of(sigma)``, read from
+        the face table; each facet is this complex's own object."""
+        try:
+            return zip(self._facets[sigma], _SIGNS[len(sigma)])
+        except KeyError:
+            raise ComplexError(f"{sigma} is not a simplex of this complex") from None
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -193,8 +211,8 @@ class SimplicialComplex:
         incidence numbers of its steps.  Order is lexicographic in the
         chain, which fixes summation order everywhere downstream.  Level
         q extends each chain of the cached level q + 1 by the facets of
-        its last simplex, in facet order; the facets are this complex's
-        own simplex objects, so every flag shares them.
+        its last simplex, read from the face table in facet order, so
+        every flag shares this complex's own simplex objects.
         """
         if q < 0 or q > self.dim:
             raise ComplexError(f"flag depth {q} out of range for dim {self.dim}")
@@ -202,30 +220,18 @@ class SimplicialComplex:
             if q == self.dim:
                 out = [Flag((t,), self._orient[t]) for t in self.tops]
             else:
-                canon = {s: s for s in self._by_dim[q]}
-                facets: Dict[Simplex, Tuple[Tuple[Simplex, int], ...]] = {}
-                out = []
-                for chain, sign in self.flags(q + 1):
-                    last = chain[-1]
-                    steps = facets.get(last)
-                    if steps is None:
-                        steps = facets[last] = tuple(
-                            [(canon[tau], inc) for tau, inc in facets_of(last)]
-                        )
-                    for tau, inc in steps:
-                        out.append(Flag(chain + (tau,), sign * inc))
+                facets, signs, new = self._facets, _SIGNS[q + 2], tuple.__new__
+                out = [
+                    new(Flag, (chain + (tau,), sign * inc))
+                    for chain, sign in self.flags(q + 1)
+                    for tau, inc in zip(facets[chain[-1]], signs)
+                ]
             self._flag_cache[q] = tuple(out)
         return self._flag_cache[q]
 
     def __repr__(self) -> str:
         counts = ",".join(str(len(self._by_dim[k])) for k in range(self.dim + 1))
         return f"SimplicialComplex(dim={self.dim}, counts=[{counts}])"
-
-
-# Most vertices a top simplex may have.  One top on n vertices has 2^n - 1
-# faces and n! flags, so the cap is checked before any face is built; 8
-# allows every dimension up to 7.
-MAX_TOP_VERTICES = 8
 
 
 def build_complex(tops: Iterable[Sequence[int]]) -> SimplicialComplex:
@@ -412,36 +418,33 @@ def barycentric_subdivide(
 
     Each simplex of K gets a barycenter vertex, labeled in order of
     (dimension, lexicographic position), so the vertices of any chain are
-    automatically ascending and every child top is canonical as built.  A
-    child top is a maximal chain, one per permutation of the parent's
-    vertex positions (the order in which the chain adds them); each
-    permutation's parity and sorted position prefixes are computed once,
-    since every top has the same arity.  The chain's barycentre matrix is
-    that permutation matrix times a lower-triangular one with positive
-    diagonal, so its barycentric orientation is the permutation's parity;
-    times the parent's, it makes subdivision preserve the fundamental
-    class.  The carrier of a child simplex is the smallest parent simplex
-    containing it, i.e. the largest chain element among its vertices; the
-    carrier map is keyed in the child complex's simplex order.
+    automatically ascending.  A child top is a flag of K down to a vertex
+    read bottom-up, canonical as built (Munkres, *Elements of Algebraic
+    Topology*, section 15).  A flag that drops positions perm[d], ...,
+    perm[1] of a top in turn has sign (-1)^(d(d+1)/2) times perm's parity
+    times the top's.  Perm's parity is the chain's barycentric orientation,
+    as its barycentre matrix is that permutation matrix times a
+    lower-triangular one with positive diagonal; so (-1)^(d(d+1)/2) times
+    the flag's sign makes subdivision preserve the fundamental class.  The
+    carrier of a child simplex is the smallest parent simplex containing
+    it, i.e. the largest chain element among its vertices; the carrier map
+    is keyed in the child complex's simplex order.
     """
     if K.dim < 0:
         raise ComplexError("cannot subdivide the empty complex")
     parents = [s for _, s in K.all_simplices()]
     label = {s: i for i, s in enumerate(parents)}
-
-    n = K.dim + 1
-    chains = [
-        (parity_sort(perm)[1], [tuple(sorted(perm[: m + 1])) for m in range(n)])
-        for perm in permutations(range(n))
-    ]
-    tops: List[Simplex] = []
-    orient: Dict[Simplex, int] = {}
-    for t in K.tops:
-        ot = K.orientation(t)
-        for parity, prefixes in chains:
-            child = tuple(label[tuple(t[i] for i in p)] for p in prefixes)
-            tops.append(child)
-            orient[child] = parity * ot
-    tops.sort()
-    K2 = SimplicialComplex(tops, orient)
+    # K's flags down to a vertex, from the tops down the face table, each
+    # as its labels bottom-up, its last simplex and its sign.
+    flags = [((label[t],), t, K.orientation(t)) for t in K.tops]
+    for _ in range(K.dim):
+        flags = [
+            ((label[f],) + labels, f, parity * inc)
+            for labels, s, parity in flags
+            for f, inc in K.facets(s)
+        ]
+    sign = (-1) ** (K.dim * (K.dim + 1) // 2)
+    orient = {labels: sign * parity for labels, _, parity in flags}
+    del flags
+    K2 = SimplicialComplex(sorted(orient), orient)
     return K2, {s: parents[s[-1]] for _, s in K2.all_simplices()}

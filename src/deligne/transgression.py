@@ -103,14 +103,22 @@ def transition_p2_boundary(
     """
     if c.degree != 2:
         raise TransgressionError("the edge/vertex transition formula needs p = 2")
-    value = transition_boundary(c, rho0, rho1)
-    agreement = wrap_distance(value.raw, transition_general(c, rho0, rho1).raw, c.exact)
+    boundary = transition_boundary(c, rho0, rho1)
+    return _p2_boundary(c, boundary, transition_general(c, rho0, rho1), tol)
+
+
+def _p2_boundary(
+    c: DeligneCochain, boundary: TransitionValue, general: TransitionValue, tol: float
+) -> TransitionValue:
+    """``transition_p2_boundary`` from both routes' values for one pair of
+    index maps, so a caller holding them builds each chain once."""
+    agreement = wrap_distance(boundary.raw, general.raw, c.exact)
     if exceeds(agreement, tol, c.exact):
         raise TransitionToleranceError(
             f"boundary formula disagrees with the defining difference by {agreement}"
         )
     return replace(
-        value,
+        boundary,
         route="p2-boundary",
         boundary_flags=len(c.base.complex.boundary_facets),
         agreement_residual=agreement,

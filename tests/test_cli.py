@@ -407,6 +407,47 @@ def test_boundary_formula_refuses_degree_3(capsys, tmp_path):
     assert err.startswith("deligne:") and "--boundary-formula" in err
 
 
+def test_boundary_formula_computes_each_route_once(capsys, tmp_path, monkeypatch):
+    """``transgress --boundary-formula`` reuses the two routes it reports:
+    one general and one boundary call, both from the CLI, so three walks
+    of the face poset (two local actions and the mixed chain) and two
+    precondition passes."""
+    # deligne.holonomy is the function, so the modules come from sys.modules.
+    cli, holonomy_module, transgression = (
+        sys.modules[f"deligne.{name}"] for name in ("cli", "holonomy", "transgression")
+    )
+    calls = {}
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            key = f"{owner.__name__}.{name}"
+            calls[key] = calls.get(key, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (cli, transgression):
+        count(module, "transition_general")
+        count(module, "transition_boundary")
+    count(holonomy_module, "_walk")
+    count(transgression, "_walk")
+    count(holonomy_module._FlagSums, "__init__")
+    paths = save_orbit(tmp_path, "annulus", 2, seed=6, stem="ann")
+    code, doc, _ = run_json(
+        capsys, "transgress", *paths, "--rho1", "random", "--seed", "3", "--boundary-formula"
+    )
+    assert code == 0 and doc["boundary_formula"]["route"] == "p2-boundary"
+    assert calls == {
+        "deligne.cli.transition_general": 1,
+        "deligne.cli.transition_boundary": 1,
+        "deligne.holonomy._walk": 2,
+        "deligne.transgression._walk": 1,
+        "_FlagSums.__init__": 2,
+    }
+
+
 # -- cup products ----------------------------------------------------------------------
 
 

@@ -1,11 +1,15 @@
 """Covers, admissibility, and index maps."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from deligne import (
     CoverError,
     attach_cover,
+    barycentric_subdivide,
     build_complex,
     default_index_map,
     make_index_map,
@@ -31,6 +35,34 @@ def test_attach_cover_union_rule():
     assert C.admissible_of((1, 2)) == (0, 1, 2)
     assert C.admissible_of((0,)) == (0,)
     assert C.admissible_of((3,)) == (1, 2)
+
+
+def per_top_union_cover(K, tops_admissible):
+    """Reference union rule: every face of every top, in the order the
+    tops and then (dimension, lexicographic) order first reach it, takes
+    the union of the chart sets of the tops containing it."""
+    admissible = {}
+    for t in K.tops:
+        for k in range(len(t)):
+            for face in combinations(t, k + 1):
+                admissible.setdefault(face, set()).update(tops_admissible[t])
+    return {s: tuple(sorted(v)) for s, v in admissible.items()}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_attach_cover_matches_per_top_union(seed):
+    rng = random.Random(seed)
+    dim = seed % 5
+    labels = rng.sample(range(20), dim + 1 + rng.randrange(4))
+    faces = list(combinations(labels, dim + 1))
+    K = build_complex(rng.sample(faces, rng.randint(1, min(6, len(faces)))))
+    for L in (K, barycentric_subdivide(K)[0]):
+        num_sets = rng.randint(1, 6)
+        charts = {
+            t: rng.sample(range(num_sets), rng.randint(1, num_sets)) for t in L.tops
+        }
+        C = attach_cover(L, num_sets, charts)
+        assert list(C.admissible.items()) == list(per_top_union_cover(L, charts).items())
 
 
 def test_attach_cover_canonicalizes_keys_and_charts():

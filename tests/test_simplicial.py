@@ -412,3 +412,96 @@ def test_subdivided_point_boundary_keeps_orientations():
     B2, carriers = barycentric_subdivide(B)
     assert {t: B2.orientation(t) for t in B2.tops} == {(0,): -1, (1,): 1}
     assert all(carriers[t] == t for t in B2.tops)
+
+
+def random_complex(rng, dim, most_tops=6):
+    """Up to ``most_tops`` distinct dim-simplices on a few labels, each
+    given in a shuffled vertex order."""
+    labels = rng.sample(range(20), dim + 1 + rng.randrange(4))
+    faces = [list(f) for f in combinations(labels, dim + 1)]
+    tops = rng.sample(faces, rng.randint(1, min(most_tops, len(faces))))
+    for t in tops:
+        rng.shuffle(t)
+    return build_complex(tops)
+
+
+def permutation_subdivision(K):
+    """Reference subdivision: child tops with their orientations, and the
+    carrier map in the child's simplex order.
+
+    One child top per top t and permutation of t's vertex positions, the
+    order in which the chain adds them: it is the chain of sorted prefix
+    sets, oriented by the permutation's parity times t's.  A child simplex
+    is carried by the parent labelled by its largest label.
+    """
+    parents = [s for _, s in K.all_simplices()]
+    label = {s: i for i, s in enumerate(parents)}
+    orient = {}
+    for t in K.tops:
+        for perm in permutations(range(len(t))):
+            prefixes = [sorted(perm[: m + 1]) for m in range(len(t))]
+            child = tuple(label[tuple(t[i] for i in p)] for p in prefixes)
+            orient[child] = sorted_sign(perm) * K.orientation(t)
+    simplices = sorted(
+        {f for c in orient for k in range(len(c)) for f in combinations(c, k + 1)},
+        key=lambda s: (len(s), s),
+    )
+    return orient, {s: parents[s[-1]] for s in simplices}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_subdivision_matches_permutation_reference(seed):
+    rng = random.Random(seed)
+    dim = seed % 5
+    K = random_complex(rng, dim, most_tops=3 if dim == 4 else 6)
+    K2, carriers = barycentric_subdivide(K)
+    orient, ref_carriers = permutation_subdivision(K)
+    assert list(K2.tops) == sorted(orient)
+    assert {t: K2.orientation(t) for t in K2.tops} == orient
+    assert list(carriers.items()) == list(ref_carriers.items())
+    for L in (K, K2):
+        for q in range(L.dim + 1):
+            assert [tuple(f) for f in L.flags(q)] == recursive_flags(L, q)
+
+
+# -- the face table -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def shipped_complexes():
+    """Every shipped geometry's complex and its first subdivision."""
+    from deligne import GEOMETRY_BUILDERS, get_geometry
+
+    out = []
+    for name in GEOMETRY_BUILDERS:
+        K = get_geometry(name).covered.complex
+        out += [(name, K), (f"{name}/1", barycentric_subdivide(K)[0])]
+    return out
+
+
+def test_face_table_contract(shipped_complexes):
+    for name, K in shipped_complexes:
+        own = {s: s for _, s in K.all_simplices()}
+        for k, s in K.all_simplices():
+            pairs = list(K.facets(s))
+            assert pairs == list(facets_of(s)), (name, s)
+            assert all(own[f] is f and len(f) == k for f, _ in pairs), (name, s)
+            assert K.has(s)
+            if k < K.dim:
+                assert K.orientation(s) == 1, (name, s)
+            else:
+                assert K.orientation(s) in (1, -1), (name, s)
+        assert [t for t in K.tops if K.orientation(t) == -1], name
+        top = K.tops[0]
+        for bad in (top[::-1] if len(top) > 1 else (top[0] - 1,), (-1,), top + (10**6,)):
+            assert not K.has(bad)
+            for ask in (K.orientation, K.facets):
+                with pytest.raises(ComplexError) as err:
+                    ask(bad)
+                assert str(err.value) == f"{bad} is not a simplex of this complex"
+
+
+def test_vertices_have_no_facets():
+    K = single_tet()
+    assert facets_of((3,)) == ()
+    assert all(list(K.facets(v)) == [] for v in K.simplices(0))

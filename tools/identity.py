@@ -25,6 +25,10 @@ arithmetic, operation):
   ``curvature_total`` of each cup product under the
   default and a random index map (the geometries whose dimension or
   boundary rules it out are digested by their exception);
+- complexes: for every shipped geometry and its first subdivision, the
+  simplices of each dimension, ``flags(q)`` for every q, ``boundary_facets``
+  and the ``admissible`` table of its chart cover and of its star cover,
+  every one in order;
 - geometries and covers: the chart cover of every shipped geometry, the
   chart cover of ``torus2-4chart`` subdivided once, the star covers of
   ``annulus``, ``torus2-4chart``, ``solid-torus`` and ``torus3-8chart``,
@@ -74,6 +78,14 @@ SEEDS = (7, 11)  # shift data b, raw cochain c
 
 def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def digest_items(items) -> str:
+    """``digest`` of a long sequence, one ``repr`` per item."""
+    h = hashlib.sha256()
+    for x in items:
+        h.update(repr(x).encode() + b"\n")
+    return h.hexdigest()[:16]
 
 
 def cases():
@@ -164,6 +176,26 @@ def geometry_digests():
                         yield f"{label} curvature_total {tag} {which}", digest(
                             outcome(lambda: curvature_total(c, rho))
                         )
+
+
+def complex_digests():
+    """Yield (label, digest) for the face structure of every shipped
+    geometry's complex and its first subdivision, and for the admissible
+    tables of their chart and star covers, all in order."""
+    from deligne import GEOMETRY_BUILDERS, star_cover, subdivide_geometry
+
+    for name, build in GEOMETRY_BUILDERS.items():
+        g = build()
+        for depth in (0, 1):
+            if depth:
+                g = subdivide_geometry(g)
+            K, label = g.covered.complex, f"{name}/{depth}"
+            yield f"{label} levels", digest([K.simplices(k) for k in range(K.dim + 1)])
+            for q in range(K.dim + 1):
+                yield f"{label} flags({q})", digest_items(K.flags(q))
+            yield f"{label} boundary_facets", digest(list(K.boundary_facets.items()))
+            for cover_name, C in (("charts", g.covered), ("star", star_cover(K))):
+                yield f"{label} admissible {cover_name}", digest_items(C.admissible.items())
 
 
 def integer_turns(cover, degree: int, exact: bool):
@@ -258,6 +290,7 @@ def digests(workdir: str):
     )
 
     yield from geometry_digests()
+    yield from complex_digests()
     for name, cover_name, cover in cases():
         p = cover.complex.dim
         for exact in (True, False):
