@@ -6,15 +6,17 @@ contain it.  This encodes "the closed simplex lies inside the chart" and
 makes admissibility monotone under taking faces, which is what every
 multi-index in a cochain relies on.
 
-An index map picks one admissible chart per simplex.  Holonomy and
-transgression values must not depend on the pick; that independence is a
-theorem, not an assumption, and the test suite exercises it.
+An index map picks one admissible chart per simplex of one cover and
+carries that cover.  It is checked once, when it is built; an operation
+then only asks that the map was made on its cochain's cover.  Holonomy
+and transgression values must not depend on the pick; that independence
+is a theorem, not an assumption, and the test suite exercises it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -108,9 +110,28 @@ def star_cover(K: SimplicialComplex) -> CoveredComplex:
 
 @dataclass(frozen=True)
 class IndexMap:
-    """One admissible chart per simplex; callable on canonical simplices."""
+    """One admissible chart per simplex of ``cover``; callable on canonical
+    simplices.  Building one is its one check: every simplex of the cover's
+    complex needs an int chart admissible there, or CoverError is raised.
+    Faces inherit their cofaces' charts, so this also covers every word
+    built along flags.  The map keeps the charts of the cover's simplices
+    only, in their order, so ``IndexMap(sub, rho.assignment)`` restricts
+    rho to a subcover."""
 
+    cover: CoveredComplex = field(repr=False)
     assignment: Mapping[Simplex, int]
+
+    def __post_init__(self) -> None:
+        C, assignment = self.cover, self.assignment
+        table: Dict[Simplex, int] = {}
+        for _, s in C.complex.all_simplices():
+            if s not in assignment:
+                raise CoverError(f"index map misses simplex {s}")
+            a = table[s] = assignment[s]
+            if type(a) is not int or a not in C.admissible_of(s):
+                _chart(a, f"chart of {s}")  # messages are formatted on failure only
+                raise CoverError(f"chart {a} is not admissible for {s}")
+        object.__setattr__(self, "assignment", table)
 
     def __call__(self, sigma: Simplex) -> int:
         try:
@@ -119,21 +140,8 @@ class IndexMap:
             raise CoverError(f"index map does not cover {sigma}")
 
 
-def make_index_map(C: CoveredComplex, assignment: Mapping[Simplex, int]) -> IndexMap:
-    """Validate a complete admissible assignment and wrap it."""
-    table: Dict[Simplex, int] = {}
-    for k, s in C.complex.all_simplices():
-        if s not in assignment:
-            raise CoverError(f"index map misses simplex {s}")
-        a = _chart(assignment[s], f"chart of {s}")
-        if a not in C.admissible_of(s):
-            raise CoverError(f"chart {a} is not admissible for {s}")
-        table[s] = a
-    return IndexMap(table)
-
-
 def default_index_map(C: CoveredComplex) -> IndexMap:
-    return IndexMap({s: C.admissible_of(s)[0] for _, s in C.complex.all_simplices()})
+    return IndexMap(C, {s: C.admissible_of(s)[0] for _, s in C.complex.all_simplices()})
 
 
 def random_index_map(
@@ -145,7 +153,7 @@ def random_index_map(
 
     ``frozen`` pins chosen simplices, given as canonical simplices of C,
     to fixed charts; useful for perturbing an index map away from a region
-    that must stay put.
+    that must stay put.  A pinned simplex draws nothing.
     """
     frozen = dict(frozen or {})
     for s in frozen:
@@ -154,15 +162,12 @@ def random_index_map(
     rng = random.Random(seed)
     table: Dict[Simplex, int] = {}
     for k, s in C.complex.all_simplices():
-        adm = C.admissible_of(s)
         if s in frozen:
-            a = _chart(frozen[s], f"frozen chart of {s}")
-            if a not in adm:
-                raise CoverError(f"frozen chart {a} is not admissible for {s}")
-            table[s] = a
+            table[s] = frozen[s]
         else:
+            adm = C.admissible_of(s)
             table[s] = adm[rng.randrange(len(adm))]
-    return IndexMap(table)
+    return IndexMap(C, table)
 
 
 def restrict_cover(C: CoveredComplex, sub: SimplicialComplex) -> CoveredComplex:
@@ -180,7 +185,3 @@ def restrict_cover_to_boundary(C: CoveredComplex) -> CoveredComplex:
 
     return restrict_cover(C, boundary_restrict(C.complex))
 
-
-def restrict_index_map(C_sub: CoveredComplex, rho: IndexMap) -> IndexMap:
-    table = {s: rho(s) for _, s in C_sub.complex.all_simplices()}
-    return make_index_map(C_sub, table)

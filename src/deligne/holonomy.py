@@ -25,7 +25,7 @@ from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 from ._scalars import Scalar, exceeds, group_sums, integer_residual, wrap
 from .cochain import Chain, DeligneCochain, _differential, _unscaled, _word_sums
-from .cover import CoveredComplex, IndexMap
+from .cover import IndexMap
 from .errors import ChartSpreadError, HolonomyError
 from .simplicial import Simplex, SimplicialComplex
 
@@ -48,15 +48,6 @@ class HolonomyValue:
 
     def __repr__(self) -> str:
         return f"HolonomyValue(angle={float(self.angle)!r}, raw={float(self.raw)!r})"
-
-
-def check_index_map(C: CoveredComplex, rho: IndexMap) -> None:
-    """Admissibility of rho per simplex; faces inherit supersets, so the
-    per-simplex check also covers every word built along flags."""
-    for _, s in C.complex.all_simplices():
-        a = rho(s)
-        if a not in C.admissible_of(s):
-            raise HolonomyError(f"index map picks inadmissible chart {a} for {s}")
 
 
 def _flag_count(tops: int, d: int, q: int) -> int:
@@ -99,9 +90,10 @@ def _walk(K: SimplicialComplex, maps: Sequence[IndexMap], top: bool = True) -> L
 class _FlagSums:
     """The flag sums of one public call.  The constructor is the one
     precondition path (cocycle flag, dimension, oriented pseudomanifold,
-    closedness on request, every index map, finite float data: a chain
-    merges terms, so a NaN could cancel unseen), raising ``error`` naming
-    ``op``.  Sums combined outside the kernel pass :meth:`finite`."""
+    closedness on request, each index map's cover (a map checks its charts
+    when it is built), finite float data: a chain merges terms, so a NaN
+    could cancel unseen), raising ``error`` naming ``op``.  Sums combined
+    outside the kernel pass :meth:`finite`."""
 
     def __init__(
         self, c: DeligneCochain, rhos: Sequence[IndexMap], op: str, error: type,
@@ -116,8 +108,8 @@ class _FlagSums:
             raise error(f"{op} needs an oriented pseudomanifold")
         if closed and not K.closed:
             raise error(f"{op} needs a closed complex; use local_action")
-        for rho in rhos:
-            check_index_map(c.base, rho)
+        if any(rho.cover is not c.base and rho.cover != c.base for rho in rhos):
+            raise error(f"{op} needs index maps made on the cochain's cover")
         if not (c.exact or all(all(map(isfinite, row)) for level in c._rows
                                for row in level.values())):
             raise error(f"{op} needs finite data; a stored value is not finite")
@@ -178,7 +170,8 @@ def curvature_total(
         )
     if not K.closed:
         raise HolonomyError("curvature total needs a closed oriented complex")
-    check_index_map(c.base, rho)
+    if rho.cover is not c.base and rho.cover != c.base:
+        raise HolonomyError("curvature total needs an index map made on the cochain's cover")
     per: dict = {}
     for t, charts, values in _differential(c.base, c._rows, K.dim, c.exact):
         values = [_unscaled(x, c.scale, c.exact) for x in values]

@@ -41,7 +41,7 @@ from typing import Dict, Tuple
 
 from ._scalars import RATIONAL, Scalar
 from .cochain import DeligneCochain, _build
-from .cover import CoveredComplex, IndexMap, attach_cover, make_index_map
+from .cover import CoveredComplex, IndexMap, attach_cover
 from .errors import DeligneError
 from .simplicial import MAX_TOP_VERTICES, Simplex, SimplicialComplex, build_complex
 
@@ -282,8 +282,8 @@ def load_cover(path: str, K: SimplicialComplex) -> CoveredComplex:
 # -- index-map files ------------------------------------------------------------------
 
 
-def index_map_to_json(rho: IndexMap, C: CoveredComplex) -> dict:
-    K = C.complex
+def index_map_to_json(rho: IndexMap) -> dict:
+    K = rho.cover.complex
     out = {}
     for dim in range(K.dim + 1):
         for i, s in enumerate(K.simplices(dim)):
@@ -298,11 +298,11 @@ def index_map_from_json(doc, C: CoveredComplex) -> IndexMap:
         resolve_ref(C.complex, key, "index-map"): _json_int(chart, f"chart of {key!r}")
         for key, chart in doc.items()
     }
-    return make_index_map(C, assignment)
+    return IndexMap(C, assignment)
 
 
-def save_index_map(rho: IndexMap, C: CoveredComplex, path: str) -> None:
-    write_canonical(path, index_map_to_json(rho, C))
+def save_index_map(rho: IndexMap, path: str) -> None:
+    write_canonical(path, index_map_to_json(rho))
 
 
 def load_index_map(path: str, C: CoveredComplex) -> IndexMap:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from deligne import (
+    IndexMap,
     build_complex,
     build_cochain,
     chern_cocycle,
@@ -25,7 +26,6 @@ from deligne import (
     glue_cochains,
     holonomy,
     local_action,
-    make_index_map,
     monopole,
     random_cochain,
     random_index_map,
@@ -289,8 +289,7 @@ def test_criterion_06_gluing_additivity():
         K2 = build_complex([(2, 0)])
         C1, C2 = restrict_cover(C, K1), restrict_cover(C, K2)
         c1, c2 = restrict_cochain(c, C1), restrict_cochain(c, C2)
-        r1 = make_index_map(C1, {s: rho(s) for _, s in K1.all_simplices()})
-        r2 = make_index_map(C2, {s: rho(s) for _, s in K2.all_simplices()})
+        r1, r2 = IndexMap(C1, rho.assignment), IndexMap(C2, rho.assignment)
         pieces = local_action(c1, r1).raw + local_action(c2, r2).raw
         gap = abs(float(pieces - whole.raw))
         assert gap <= 1e-9, f"piece actions missed the holonomy by {gap}"
@@ -299,9 +298,7 @@ def test_criterion_06_gluing_additivity():
 
         glued, _ = glue_cochains(c1, c2, {0: 0, 2: 2})
         assert glued.base.complex.closed
-        rg = make_index_map(
-            glued.base, {s: rho(s) for _, s in glued.base.complex.all_simplices()}
-        )
+        rg = IndexMap(glued.base, rho.assignment)
         regained = holonomy(glued, rg).raw
         assert abs(float(regained - whole.raw)) <= 1e-9
         return whole

@@ -686,7 +686,7 @@ def test_aliased_index_map_key_exits_1(capsys, tmp_path):
     paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="alias")
     C = load_cover(paths[1], load_complex(paths[0]))
     rho_path = str(tmp_path / "rho.json")
-    save_index_map(default_index_map(C), C, rho_path)
+    save_index_map(default_index_map(C), rho_path)
     doc = read_json(rho_path)
     doc["00/0"] = doc["0/0"]
     write_canonical(rho_path, doc)
@@ -748,7 +748,7 @@ def test_hostile_artifact_exits_1(capsys, tmp_path, case):
     paths = save_orbit(tmp_path, "circle-3arc", 1, seed=2, stem="hostile")
     C = load_cover(paths[1], load_complex(paths[0]))
     rho_path = str(tmp_path / "rho.json")
-    save_index_map(default_index_map(C), C, rho_path)
+    save_index_map(default_index_map(C), rho_path)
     path = [*paths, rho_path][which]
     with open(path, encoding="utf-8") as fh:
         text = fh.read()

@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from deligne import (
     CoverError,
+    IndexMap,
     attach_cover,
     barycentric_subdivide,
     build_complex,
     default_index_map,
-    make_index_map,
     random_index_map,
     restrict_cover,
     restrict_cover_to_boundary,
-    restrict_index_map,
     star_cover,
 )
 from deligne.simplicial import boundary_restrict
@@ -128,14 +127,14 @@ def test_default_index_map_is_admissible_and_minimal():
 def test_make_index_map_validates():
     C = star_cover(two_triangles())
     table = {s: C.admissible_of(s)[-1] for _, s in C.complex.all_simplices()}
-    rho = make_index_map(C, table)
-    assert rho((1, 2)) == 3
+    rho = IndexMap(C, table)
+    assert rho((1, 2)) == 3 and rho.cover is C
     del table[(0, 1)]
-    with pytest.raises(CoverError):
-        make_index_map(C, table)
+    with pytest.raises(CoverError, match="misses simplex"):
+        IndexMap(C, table)
     table[(0, 1)] = 3  # not admissible there
-    with pytest.raises(CoverError):
-        make_index_map(C, table)
+    with pytest.raises(CoverError, match="not admissible"):
+        IndexMap(C, table)
 
 
 def test_index_map_unknown_simplex():
@@ -192,9 +191,9 @@ def test_attach_cover_refuses_a_num_sets_that_is_not_an_int(num_sets):
 def test_make_index_map_refuses_a_chart_that_is_not_an_int(chart):
     C = attach_cover(two_triangles(), 2, {(0, 1, 2): (0, 1), (1, 2, 3): (0, 1)})
     assignment = {s: 1 for _, s in C.complex.all_simplices()}
-    assert make_index_map(C, assignment)((0, 1)) == 1
+    assert IndexMap(C, assignment)((0, 1)) == 1
     with pytest.raises(CoverError, match="must be an int"):
-        make_index_map(C, {**assignment, (0, 1): chart})
+        IndexMap(C, {**assignment, (0, 1): chart})
 
 
 @pytest.mark.parametrize("chart", [1.9, True, "1", 1.0])
@@ -213,7 +212,7 @@ def test_restrict_cover_and_index_map():
     for _, s in B.complex.all_simplices():
         assert B.admissible_of(s) == C.admissible_of(s)
     rho = random_index_map(C, seed=3)
-    rhoB = restrict_index_map(B, rho)
+    rhoB = IndexMap(B, rho.assignment)
     for _, s in B.complex.all_simplices():
         assert rhoB(s) == rho(s)
 

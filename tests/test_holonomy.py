@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deligne import (
+    CoverError,
     HolonomyError,
     attach_cover,
     build_cochain,
@@ -22,7 +23,6 @@ from deligne import (
 )
 from deligne.cover import IndexMap
 from deligne.errors import ToleranceError
-from deligne.holonomy import check_index_map
 
 from oracles import naive_holonomy
 
@@ -83,8 +83,20 @@ def test_check_index_map_rejects_inadmissible():
     C = star_cover(CIRCLE)
     table = {s: C.admissible_of(s)[0] for _, s in C.complex.all_simplices()}
     table[(0, 1)] = C.num_sets + 5
-    with pytest.raises(HolonomyError):
-        check_index_map(C, IndexMap(table))
+    with pytest.raises(CoverError, match="not admissible"):
+        IndexMap(C, table)
+
+
+def test_a_map_made_on_another_cover_is_refused_even_with_admissible_charts():
+    two = attach_cover(CIRCLE, 2, {t: (0, 1) for t in CIRCLE.tops})
+    c = zero_cochain(two, 1)
+    rho = default_index_map(ONE_CHART)  # chart 0 everywhere, admissible in both
+    with pytest.raises(HolonomyError, match="holonomy needs index maps made on"):
+        holonomy(c, rho)
+    # an equal cover built apart is the same cover
+    same = attach_cover(CIRCLE, 2, {t: (0, 1) for t in CIRCLE.tops})
+    assert same is not two
+    assert holonomy(c, IndexMap(same, rho.assignment)).raw == 0
 
 
 def test_holonomy_matches_naive_enumeration_float():

@@ -214,7 +214,7 @@ DUPLICATE_KEY_CASES = {
         lambda path: load_cover(path, TWO_TRIS),
     ),
     "index-map": (
-        lambda: dumps_canonical(index_map_to_json(default_index_map(COVER), COVER)),
+        lambda: dumps_canonical(index_map_to_json(default_index_map(COVER))),
         '"0/0":',
         '"0/0":1,',
         lambda path: load_index_map(path, COVER),
@@ -412,14 +412,14 @@ def test_cover_from_json_rejects_non_object_table():
 def test_index_map_round_trip(tmp_path):
     rho = random_index_map(COVER, seed=11)
     p = tmp_path / "rho.json"
-    save_index_map(rho, COVER, str(p))
+    save_index_map(rho, str(p))
     rho2 = load_index_map(str(p), COVER)
     for _, s in TWO_TRIS.all_simplices():
         assert rho2(s) == rho(s)
 
 
 def test_index_map_json_covers_every_dimension():
-    doc = index_map_to_json(random_index_map(COVER, seed=3), COVER)
+    doc = index_map_to_json(random_index_map(COVER, seed=3))
     dims = {key.split("/")[0] for key in doc}
     assert dims == {"0", "1", "2"}
 
@@ -432,7 +432,7 @@ def test_index_map_from_json_rejects_bad_keys(key):
 
 @pytest.mark.parametrize("alias", ["00/0", "0/+0", "0/ 0", "-0/0"])
 def test_index_map_from_json_rejects_aliased_key(alias):
-    doc = index_map_to_json(default_index_map(COVER), COVER)
+    doc = index_map_to_json(default_index_map(COVER))
     doc[alias] = doc["0/0"]
     with pytest.raises(SchemaError):
         index_map_from_json(doc, COVER)
@@ -440,7 +440,7 @@ def test_index_map_from_json_rejects_aliased_key(alias):
 
 @pytest.mark.parametrize("chart", [True, "1", 1.0])
 def test_index_map_from_json_rejects_non_integer_chart(chart):
-    doc = index_map_to_json(default_index_map(COVER), COVER)
+    doc = index_map_to_json(default_index_map(COVER))
     doc["0/1"] = chart
     with pytest.raises(SchemaError, match="must be an integer"):
         index_map_from_json(doc, COVER)

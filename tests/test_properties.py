@@ -8,6 +8,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from deligne import (
+    IndexMap,
     build_complex,
     discretize,
     disjoint_union_cochains,
@@ -16,7 +17,6 @@ from deligne import (
     glue_cochains,
     holonomy,
     local_action,
-    make_index_map,
     random_index_map,
     restrict_cochain,
     restrict_cover,
@@ -138,13 +138,11 @@ def test_cut_and_reglue_keeps_holonomy(pres, seed, data):
     for Ki in (K1, K2):
         Ci = restrict_cover(C, Ki)
         ci = restrict_cochain(c, Ci)
-        ri = make_index_map(Ci, {s: rho(s) for _, s in Ki.all_simplices()})
+        ri = IndexMap(Ci, rho.assignment)
         pieces.append((ci, local_action(ci, ri).raw))
     assert pieces[0][1] + pieces[1][1] == whole
 
     glued, _ = glue_cochains(pieces[0][0], pieces[1][0], {v: v for v in edge})
     assert glued.base.complex.closed
-    rg = make_index_map(
-        glued.base, {s: rho(s) for _, s in glued.base.complex.all_simplices()}
-    )
+    rg = IndexMap(glued.base, rho.assignment)
     assert holonomy(glued, rg).raw == whole

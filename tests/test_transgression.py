@@ -13,6 +13,7 @@ from deligne import (
     TransgressionError,
     attach_cover,
     build_complex,
+    curvature_total,
     default_index_map,
     exact_shift,
     get_geometry,
@@ -32,7 +33,7 @@ from deligne import (
 from deligne.holonomy import _walk
 from deligne.transgression import _display_words
 from deligne.cochain import _word_sums, restrict_cochain
-from deligne.cover import restrict_index_map
+from deligne.cover import IndexMap
 
 from oracles import (
     naive_chains,
@@ -274,9 +275,9 @@ def test_display_words_cancel_on_closed_surface(solid_cover):
     raw = random_cochain(C, 3, seed=22, exact=True)
     S_cov = restrict_cover_to_boundary(C)
     cS = restrict_cochain(raw, S_cov)
-    r0 = restrict_index_map(S_cov, random_index_map(C, seed=54))
-    r1 = restrict_index_map(S_cov, random_index_map(C, seed=55))
-    r2 = restrict_index_map(S_cov, random_index_map(C, seed=56))
+    r0, r1, r2 = (
+        IndexMap(S_cov, random_index_map(C, seed=s).assignment) for s in (54, 55, 56)
+    )
     assert _word_sums(cS, _display_words(S_cov.complex, r0, r1, r2)) == [0]
 
 
@@ -367,6 +368,59 @@ def test_non_finite_interior_edge_raises_in_every_flag_sum(name, every):
     for error, entry_point, n_maps in calls:
         with pytest.raises(error, match="not finite"):
             entry_point(c, *maps[:n_maps])
+
+
+def test_every_flag_sum_refuses_a_map_made_on_another_cover():
+    def chart_and_star(name):
+        g = get_geometry(name)
+        return g.covered, star_cover(g.covered.complex)
+
+    torus, torus_star = chart_and_star("torus2-4chart")
+    annulus, annulus_star = chart_and_star("annulus")
+    solid, solid_star = chart_and_star("solid-torus")
+    calls = [
+        (HolonomyError, "holonomy", holonomy, torus, 2, torus_star, 1),
+        (HolonomyError, "curvature total", curvature_total, torus, 1, torus_star, 1),
+        (HolonomyError, "local action", local_action, annulus, 2, annulus_star, 1),
+        (TransgressionError, "transition", transition_general, annulus, 2, annulus_star, 2),
+        (TransgressionError, "transition", transition_boundary, annulus, 2, annulus_star, 2),
+        (TransgressionError, "transition", transgress_p3_triple, solid, 3, solid_star, 3),
+    ]
+    for error, op, entry_point, C, p, other, n_maps in calls:
+        c = zero_cochain(C, p, exact=True)
+        own = [random_index_map(C, seed=s) for s in range(n_maps)]
+        entry_point(c, *own)
+        for i in range(n_maps):
+            maps = own[:i] + [default_index_map(other)] + own[i + 1:]
+            with pytest.raises(error, match=f"^{op} needs (an )?index maps? made on"):
+                entry_point(c, *maps)
+
+
+def test_flag_sums_read_the_maps_only_in_the_walk(monkeypatch):
+    """A map's charts are checked when it is built, so holonomy and
+    transition_boundary call it exactly as often as their walk does."""
+    calls = [0]
+    read = IndexMap.__call__
+
+    def counted(self, sigma):
+        calls[0] += 1
+        return read(self, sigma)
+
+    def reads(f, *args):
+        calls[0] = 0
+        f(*args)
+        return calls[0]
+
+    torus = star_cover(get_geometry("torus2-4chart").covered.complex)
+    annulus = star_cover(get_geometry("annulus").covered.complex)
+    c, rho = orbit(torus, 2, seed=31), random_index_map(torus, seed=32)
+    d = orbit(annulus, 2, seed=33)
+    r0, r1 = (random_index_map(annulus, seed=s) for s in (34, 35))
+    monkeypatch.setattr(IndexMap, "__call__", counted)
+    walk = reads(_walk, torus.complex, (rho,))
+    assert walk > 0 and reads(holonomy, c, rho) == walk
+    walk = reads(_walk, annulus.complex, (r0, r1), False)
+    assert walk > 0 and reads(transition_boundary, d, r0, r1) == walk
 
 
 # -- the face-poset walk against the flag definition -------------------------------

@@ -31,7 +31,9 @@ a fraction of the base median, in this order:
 - ``gain``: the change is better in at least 9 of 10 pairs, and its median
   beats the base median by more than the base IQR;
 - ``worse``: the change median is worse than the base median by more than
-  the bound;
+  the bound; when the base IQR is over the bound too, the label reads
+  ``worse (base IQR x% of median, over bound)``, since host drift alone
+  can then move the medians that far;
 - ``unresolved``: the base IQR exceeds the bound times the base median,
   unless every change run beats every base run;
 - ``no worse`` otherwise.
@@ -130,9 +132,12 @@ def verdict(b: list, c: list, wins: int, bound: float) -> str:
     mb, mc, spread = statistics.median(b), statistics.median(c), iqr(b)
     if 10 * wins >= 9 * len(b) and mb - mc > spread:
         return "gain"
+    noisy = spread > bound * abs(mb)
     if mc - mb > bound * abs(mb):
+        if noisy:
+            return f"worse (base IQR {spread / abs(mb):.0%} of median, over bound)"
         return "worse"
-    if spread > bound * abs(mb) and max(c) >= min(b):
+    if noisy and max(c) >= min(b):
         return "unresolved"
     return "no worse"
 

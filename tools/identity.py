@@ -29,6 +29,10 @@ arithmetic, operation):
   simplices of each dimension, ``flags(q)`` for every q, ``boundary_facets``
   and the ``admissible`` table of its chart cover and of its star cover,
   every one in order;
+- index maps: for the chart cover and the star cover of every shipped
+  geometry, the ``assignment`` in order of ``default_index_map``, of
+  ``random_index_map`` for both ``SEEDS`` and of ``random_index_map`` with
+  its first top and first vertex pinned to their last admissible charts;
 - geometries and covers: the chart cover of every shipped geometry, the
   chart cover of ``torus2-4chart`` subdivided once, the star covers of
   ``annulus``, ``torus2-4chart``, ``solid-torus`` and ``torus3-8chart``,
@@ -198,6 +202,26 @@ def complex_digests():
                 yield f"{label} admissible {cover_name}", digest_items(C.admissible.items())
 
 
+def index_map_digests():
+    """Yield (label, digest) for the default, random and pinned index maps
+    of every shipped geometry's chart cover and star cover."""
+    from deligne import GEOMETRY_BUILDERS, default_index_map, random_index_map, star_cover
+
+    for name, build in GEOMETRY_BUILDERS.items():
+        covered = build().covered
+        for cover_name, C in (("charts", covered), ("star", star_cover(covered.complex))):
+            K = C.complex
+            pins = {s: C.admissible_of(s)[-1] for s in (K.tops[0], K.simplices(0)[0])}
+            maps = {"default": default_index_map(C)}
+            for seed in SEEDS:
+                maps[f"random {seed}"] = random_index_map(C, seed)
+            maps["pinned"] = random_index_map(C, SEEDS[0], frozen=pins)
+            for which, rho in maps.items():
+                yield f"{name} {cover_name} index map {which}", digest(
+                    list(rho.assignment.items())
+                )
+
+
 def integer_turns(cover, degree: int, exact: bool):
     """A cocycle whose level 0 is f(J) turns at every vertex, f(J) =
     sum(J) mod 3 - 1, and whose other levels vanish: its Čech class is
@@ -291,6 +315,7 @@ def digests(workdir: str):
 
     yield from geometry_digests()
     yield from complex_digests()
+    yield from index_map_digests()
     for name, cover_name, cover in cases():
         p = cover.complex.dim
         for exact in (True, False):
