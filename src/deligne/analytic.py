@@ -18,11 +18,12 @@ radians.  A fixture parameter given in turns (``winding_function``'s
 coefficient, never passed through as if it were radians already; one
 given in the unit of the arithmetic (``flat_circle``'s ``theta``) is
 taken as it stands.  A rational evaluation is only meaningful when a
-term carries exactly one angle factor in total (an angle times an angle
-is not a rational number of turns).  Cup products divide each product of
-two angle factors by one full turn (:func:`turn_normalized_product`), so
-products of rational classes keep one net angle factor and discretize
-exactly.
+term has a Fraction coefficient and carries exactly one angle factor in
+total (an angle times an angle is not a rational number of turns); each
+term is checked as it is integrated, and nowhere else.  Cup products
+divide each product of two angle factors by one full turn
+(:func:`turn_normalized_product`), so products of rational classes keep
+one net angle factor and discretize exactly.
 
 Cup products follow one rule, the Deligne–Beilinson product.  A
 presentation of degree p enters it through two fields: ``integer_of``, its
@@ -40,7 +41,7 @@ n_x(s, J[:p+2]) · n_y(s, J[p+1:]) and R_x ⋆ R_y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -228,26 +229,17 @@ class AnalyticClassPresentation:
     simplex.  The two optional fields are what :func:`cup_product` reads:
     ``integer_of(geom, s, J)``, with ``len(J) == degree + 2``, is the
     integer Čech cocycle (-1)^degree · δC^0(s, J) in turns, and
-    ``curv_of(geom, s)`` is the curvature (degree+1)-form.  ``params``
-    holds plain data only.
+    ``curv_of(geom, s)`` is the curvature (degree+1)-form.  Exactness is
+    read from the terms (see the module docstring), not stored.
     """
 
     label: str
     degree: int
     geometry: ChartedGeometry
     components: Tuple[ComponentRule, ...]
-    rational: bool
-    params: Dict[str, object] = field(default_factory=dict)
-    kind: str = "generic"
+    kind: str
     integer_of: Optional[IntegerRule] = None
     curv_of: Optional[CurvatureRule] = None
-
-    def curvature_form(self, geom: Optional[ChartedGeometry] = None) -> FormExpr:
-        if self.curv_of is None:
-            raise AnalyticError(f"{self.label} carries no curvature form")
-        g = geom or self.geometry
-        top = g.covered.complex.tops[0]
-        return self.curv_of(g, top)
 
 
 def _lineage_ok(pres: AnalyticClassPresentation, geom: ChartedGeometry) -> bool:
@@ -269,18 +261,15 @@ def discretize(
 
     ``geometry`` may be the presentation's own geometry (default) or any
     barycentric subdivision of it; the expressions are evaluated with the
-    finer lifts.  Rational output is refused where it cannot be exact.
-    ``quad_order`` is ignored (integration is exact); callers still pass it.
+    finer lifts.  Rational output is refused per term, where it cannot be
+    exact.  ``quad_order`` is ignored (integration is exact); callers still
+    pass it.
     """
     geom = geometry if geometry is not None else pres.geometry
     if not _lineage_ok(pres, geom):
         raise AnalyticError(
             f"{pres.label} is presented on {pres.geometry.name}, not on the "
             "given geometry"
-        )
-    if exact and not pres.rational:
-        raise AnalyticError(
-            f"{pres.label} has non-rational parameters; use float arithmetic"
         )
     p = pres.degree
     cov = geom.covered
@@ -304,10 +293,10 @@ def discretize(
 # -- fixture constructors -----------------------------------------------------------
 
 
-def _const_term(value: Scalar, rational: bool) -> FormExpr:
+def _const_term(value: Scalar, exact: bool) -> FormExpr:
     if value == 0:
         return ZERO_EXPR
-    if rational:
+    if exact:
         return (FormTerm(coerce(value, True), angle_power=1),)
     return (FormTerm(float(value)),)
 
@@ -342,7 +331,6 @@ def winding_function(
     if not (0 <= coord < len(geom.periodic) and geom.periodic[coord]):
         raise AnalyticError("winding functions need a periodic coordinate")
     c = coerce(offset, exact)
-    rational = exact or offset == 0
     const = _const_term(c if exact else c * TWO_PI, exact)
 
     def comp0(g: ChartedGeometry, J, s) -> FormExpr:
@@ -357,8 +345,6 @@ def winding_function(
         degree=0,
         geometry=geom,
         components=(comp0,),
-        rational=rational,
-        params={"w": w, "coord": coord, "offset": c},
         kind="function",
         integer_of=lambda g, s, J: w * g.jump(s, coord, *J),
         curv_of=lambda g, s: curv,
@@ -377,7 +363,6 @@ def flat_circle(
     if geom.coords != ("theta",):
         raise AnalyticError("flat_circle lives on a circle geometry")
     th = coerce(theta, exact)
-    rational = exact
     # Seam: among vertices where both charts 0 and 1 are admissible, the
     # one whose chart-0 branch is largest.  Stable under subdivision.
     seam = None
@@ -395,7 +380,7 @@ def flat_circle(
             return ZERO_EXPR
         if g.vertex_value(0, s, 0) != seam:
             return ZERO_EXPR
-        return _const_term(th, rational)
+        return _const_term(th, exact)
 
     # The seam log is a per-vertex indicator, not an affine expression in
     # the lifts, so (-1)^p δC^0 has no chart-wise integer rule here: the
@@ -406,8 +391,6 @@ def flat_circle(
         degree=1,
         geometry=geom,
         components=(comp0, _no_component),
-        rational=rational,
-        params={"theta": th},
         kind="line",
         curv_of=lambda g, s: ZERO_EXPR,
     )
@@ -503,8 +486,6 @@ def monopole(geom: ChartedGeometry, k: int) -> AnalyticClassPresentation:
         degree=1,
         geometry=geom,
         components=(comp0, comp1),
-        rational=True,
-        params={"k": k},
         kind="line",
         integer_of=integer_of,
         curv_of=lambda g, s: (FormTerm(half, wedge=(0, 1)),) if k else ZERO_EXPR,
@@ -542,8 +523,6 @@ def torsion_class(
         degree=degree,
         geometry=geom,
         components=tuple(comps),
-        rational=True,
-        params={"q": q, "w": w},
         kind="torsion",
     )
 
@@ -555,8 +534,6 @@ def zero_class(geom: ChartedGeometry, degree: int) -> AnalyticClassPresentation:
         degree=degree,
         geometry=geom,
         components=tuple([_no_component] * (degree + 1)),
-        rational=True,
-        params={},
         kind="zero",
     )
 
@@ -619,8 +596,6 @@ def cup_product(
         geometry=x.geometry,
         components=tuple(map(integer_level, y.components))
         + tuple(map(curvature_level, x.components)),
-        rational=x.rational and y.rational,
-        params={"factors": (x.label, y.label)},
         kind=_KIND_OF_DEGREE[degree],
         integer_of=lambda gm, s, J: n_x(gm, s, J[: p + 2]) * n_y(gm, s, J[p + 1 :]),
         curv_of=lambda gm, s: turn_normalized_product(R_x(gm, s), R_y(gm, s)),

@@ -116,8 +116,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def read_json(path: str):
-    """Parse a JSON file; the non-standard NaN/Infinity literals and a key
-    repeated within one object are refused."""
+    """Parse a JSON file; NaN/Infinity literals, a key repeated within one
+    object and nesting too deep for the parser are refused."""
 
     def refuse(literal: str):
         raise SchemaError(f"{path}: non-finite literal {literal} is not allowed")
@@ -137,6 +137,8 @@ def read_json(path: str):
             return json.load(fh, parse_constant=refuse, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise SchemaError(f"{path}: not valid JSON ({e})") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def _json_int(v, what: str) -> int:

@@ -172,9 +172,16 @@ def test_winding_function_needs_periodic_coordinate(annulus):
 
 def test_winding_offset_keeps_rationality(torus2_4chart):
     pres = winding_function(torus2_4chart, 1, offset="3/7", exact=True)
-    assert pres.rational
+    assert discretize(pres, exact=True).exact
     floaty = winding_function(torus2_4chart, 1, offset=0.25)
-    assert not floaty.rational
+    with pytest.raises(AnalyticError, match="rational fixture parameters"):
+        discretize(floaty, exact=True)
+
+
+def test_float_built_class_with_exact_terms_discretizes_exactly(circle_2arc):
+    c = discretize(flat_circle(circle_2arc, 0.0), exact=True)
+    assert c.exact and c.degree == 1
+    assert list(c.entries()) == []
 
 
 def test_winding_offset_is_in_turns_in_both_modes(torus2_4chart):
@@ -296,7 +303,6 @@ def test_cup_function_function_validates_both_modes(torus_windings):
     g, f, h = torus_windings
     fg = cup_product(f, h)
     assert fg.degree == 1 and fg.kind == "line"
-    assert fg.rational
     ce = discretize(fg, exact=True)
     assert validate_cocycle(ce).passed
     cf = discretize(fg)
@@ -484,8 +490,7 @@ def test_integer_of_is_the_cech_coboundary(request, subdivided, name, case, fine
 
 
 def test_curvature_form_accessors(sphere_octahedron_2chart, torus2_4chart):
-    m = monopole(sphere_octahedron_2chart, 1)
-    assert m.curvature_form()
-    z = zero_class(torus2_4chart, 1)
-    with pytest.raises(AnalyticError):
-        z.curvature_form()
+    g = sphere_octahedron_2chart
+    m = monopole(g, 1)
+    assert m.curv_of(g, g.covered.complex.tops[0])
+    assert zero_class(torus2_4chart, 1).curv_of is None

@@ -739,6 +739,10 @@ HOSTILE_EDITS = {
         0, _edit_doc(lambda doc: doc["top_simplices"].append(5)), "must be an array"
     ),
     "float-dim": (0, _edit_doc(lambda doc: doc.update(dim=float(doc["dim"]))), "dim"),
+    **{
+        f"deep-nesting-{artifact}": (which, lambda text: "[" * 100_000, "nested too deeply")
+        for which, artifact in enumerate(("complex", "cover", "cochain", "index-map"))
+    },
 }
 
 
